@@ -316,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
                 _time.sleep(a.interval)
         elif a.cmd == "rank":
             # relevance-ranked upgrade of the viewer's find_text: BM25 over
-            # the final store, query-bound stats reduce + streaming score
+            # the final store, one read into query-term candidates, a
+            # query-bound stats reduce and one score task per block
             import ray.data as rd
 
             from ocr_suite_ray.stages.text_ops import bm25_rank

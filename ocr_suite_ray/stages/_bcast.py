@@ -28,9 +28,12 @@ def _evict(cache: dict) -> None:
         cache.pop(next(iter(cache)))  # FIFO: dicts preserve insertion order
 
 
+_MISS = object()  # payloads and derivations may legitimately be None
+
+
 def cached_get(ref):
-    v = _CACHE.get(ref)
-    if v is None:
+    v = _CACHE.get(ref, _MISS)
+    if v is _MISS:
         import ray
 
         _evict(_CACHE)
@@ -42,17 +45,25 @@ def cached_get(ref):
 _DERIVED: dict = {}
 
 
-def cached_build(ref, builder):
+def cached_build(ref, builder, token=None):
     """Like ``cached_get`` but caches ``builder(payload)`` — for stages that
     derive a worker-local structure (a lookup Series, a normalized matrix)
-    from the broadcast payload. Keyed by (ref, builder qualname): the ref
-    alone is the stable identity across a task's batches (closures are
+    from the broadcast payload. Keyed by (ref, builder qualname, token): the
+    ref alone is the stable identity across a task's batches (closures are
     recreated per task), but two STAGES deriving different structures
     from the SAME broadcast ref must not share the first derivation —
-    a ref-only key silently handed stage B stage A's structure."""
-    key = (ref, getattr(builder, "__module__", ""), getattr(builder, "__qualname__", repr(builder)))
-    v = _DERIVED.get(key)
-    if v is None:
+    a ref-only key silently handed stage B stage A's structure. A builder
+    that closes over parameters (an n-gram size, a threshold) has one
+    qualname for every parameter value, so its caller passes those values
+    as ``token``. A ``None`` derivation is cached like any other value."""
+    key = (
+        ref,
+        getattr(builder, "__module__", ""),
+        getattr(builder, "__qualname__", repr(builder)),
+        token,
+    )
+    v = _DERIVED.get(key, _MISS)
+    if v is _MISS:
         _evict(_DERIVED)
         v = builder(cached_get(ref))
         _DERIVED[key] = v

@@ -240,6 +240,7 @@ def ngram_hit_counts(texts, gram_ref, n: int = 5,
         lambda t: pa.array(
             np.unique(_gram_string_hashes(t["gram"].combine_chunks(), n))
         ),
+        token=n,
     )
     cand = pc.is_in(pa.array(hs), value_set=eval_hashes).to_numpy(
         zero_copy_only=False

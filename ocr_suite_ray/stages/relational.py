@@ -402,9 +402,7 @@ def narrow_grouped_sum(
     table fits one worker (TPC-H Q1 flags, key x hour windows, language
     counts); corpus-keyed aggregates (distinct texts, urls) must keep the
     hash-partitioned shuffle."""
-    import ray.data as rd
-
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, dataset_from_root
 
     def _merge(t: pa.Table) -> pa.Table:
         g = t.group_by(keys).aggregate([(c, "sum") for c in sum_cols])
@@ -413,25 +411,10 @@ def narrow_grouped_sum(
             keys + sum_cols
         )
 
-    ref = coalesce_reduce(partials, _merge, finish_fn, materialize=False)
-    if ref is None:
-        if empty_schema is not None:
-            return rd.from_arrow(empty_schema.empty_table())
-        return rd.from_items([])
-    # the reduce root resolves to None when EVERY input block was empty
-    # (coalesce_reduce's contract); from_arrow_refs would crash on a None
-    # block, so normalize worker-side to the declared empty schema
-    import ray
-
-    @ray.remote
-    def _or_empty(t):
-        if t is not None:
-            return t
-        if empty_schema is not None:
-            return empty_schema.empty_table()
-        return pa.table({})
-
-    return rd.from_arrow_refs([_or_empty.remote(ref)])
+    return dataset_from_root(
+        coalesce_reduce(partials, _merge, finish_fn, materialize=False),
+        empty_schema,
+    )
 
 
 def count_distinct_by_group(

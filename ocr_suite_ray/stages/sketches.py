@@ -268,7 +268,7 @@ def heavy_hitters(ds, col: str, k: int = 25, capacity: int = 256,
     """
     import pyarrow.compute as pc
 
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, dataset_from_root
 
     def _partial(t: pa.Table) -> pa.Table:
         c = t[col]
@@ -304,24 +304,10 @@ def heavy_hitters(ds, col: str, k: int = 25, capacity: int = 256,
         )
         return body.take(order[:k]).select(["item", "n"])
 
-    import ray
-    import ray.data as rd
-
     ref = coalesce_reduce(
         ds.map_batches(_partial, batch_format="pyarrow"),
         _merge, _finish, materialize=False,
     )
-    empty = pa.schema([pa.field("item", pa.string()), pa.field("n", pa.int64())])
-    if ref is None:
-        return rd.from_arrow(empty.empty_table())
-
-    @ray.remote
-    def _or_empty(t):
-        # a zero-row input dataset's blocks skip the map UDFs and keep
-        # their (possibly column-less) pre-UDF schema — normalize to the
-        # declared output schema
-        if t is None or "item" not in getattr(t, "column_names", []):
-            return empty.empty_table()
-        return t
-
-    return rd.from_arrow_refs([_or_empty.remote(ref)])
+    return dataset_from_root(
+        ref, pa.schema([pa.field("item", pa.string()), pa.field("n", pa.int64())])
+    )

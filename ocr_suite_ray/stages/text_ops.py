@@ -1173,6 +1173,67 @@ def ccnet_perplexity_buckets(
     return ranked.map_batches(_assign, batch_format="pandas")
 
 
+def _bm25_stats(t: pa.Table) -> pa.Table:
+    """Sum of ``n``/``dl`` per term over BM25 candidate (or stats) tables:
+    the null term holds N and the total length, every query term its df."""
+    g = t.select(["term", "n", "dl"]).group_by("term").aggregate(
+        [("n", "sum"), ("dl", "sum")]
+    )
+    return g.select(["term", "n_sum", "dl_sum"]).rename_columns(["term", "n", "dl"])
+
+
+def _bm25_topk(t: pa.Table, top_k: int) -> pa.Table:
+    import pyarrow.compute as pc
+
+    idx = pc.sort_indices(t, sort_keys=[("_score", "descending"), ("id", "ascending")])
+    return t.take(idx[:top_k])
+
+
+def _bm25_score_block(stats, t, k1: float, b: float, top_k: int):
+    """Top-``top_k`` ``(id, _score)`` of one candidate block of
+    :func:`bm25_rank` against the reduced ``stats`` table."""
+    import pyarrow.compute as pc
+
+    # blocks of an empty input skip the candidate UDF and keep their
+    # pre-UDF schema; they hold no candidates
+    if "term" not in getattr(t, "column_names", ()):
+        return None
+    is_stats = pc.is_null(t["term"]).to_numpy(zero_copy_only=False)
+    c = t.filter(pa.array(~is_stats))
+    if c.num_rows == 0:
+        return None
+    terms = stats["term"].to_pylist()
+    n = stats["n"].to_numpy()
+    si = terms.index(None)
+    n_docs = float(n[si])
+    avgdl = float(stats["dl"].to_numpy()[si]) / max(n_docs, 1.0)
+    idf_by_term = {
+        w: float(np.log(1.0 + (n_docs - float(df) + 0.5) / (float(df) + 0.5)))
+        for w, df in zip(terms, n)
+        if w is not None
+    }
+    # a doc is a run of one (batch, row): batches are numbered by the
+    # stats row that opens each of them
+    batch = np.cumsum(is_stats)[~is_stats]
+    rows = c["row"].to_numpy()
+    new_doc = np.ones(len(rows), dtype=bool)
+    new_doc[1:] = (rows[1:] != rows[:-1]) | (batch[1:] != batch[:-1])
+    doc = np.cumsum(new_doc) - 1
+    idf = np.array([idf_by_term[w] for w in c["term"].to_pylist()], np.float64)
+    tf = c["tf"].to_numpy().astype(np.float64)
+    dl = c["dl"].to_numpy().astype(np.float64)
+    contrib = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+    scores = np.zeros(int(doc[-1]) + 1, dtype=np.float64)
+    np.add.at(scores, doc, contrib)
+    return _bm25_topk(
+        pa.table({
+            "id": c["id"].take(pa.array(np.flatnonzero(new_doc))),
+            "_score": pa.array(scores, pa.float64()),
+        }),
+        top_k,
+    )
+
+
 def bm25_rank(
     ds,
     query_terms: list,
@@ -1188,136 +1249,65 @@ def bm25_rank(
     Ties break by ascending id. Returns a tiny ``pa.Table``
     ``(id_col, bm25_e4)``.
 
-    Scale shape: one tree-reduced stats pass (N, total length, and df for
-    the QUERY terms only — the artifact is query-bound, a handful of rows);
-    one streaming score pass (``is_in`` + composite-key tf counts +
-    ``np.add.at`` accumulation); per-block top-k then a tree merge of
-    k-row tables. The corpus never shuffles. Reference analogue: the
-    viewer's ``find_text`` ranked search (src/viewer/search.h) upgraded
-    from LIKE-match to relevance ranking.
+    Scale shape: ``ds`` executes ONCE. Each batch becomes a compact
+    candidate table: one stats row (``term`` null, ``n`` = the batch's doc
+    count, ``dl`` = its token total), then one row per (doc, query term)
+    the batch contains, ``(row, term, n=1, tf, dl, id)``. Ray Data may pack
+    several batches into one block, so a doc is keyed by its batch (the
+    running count of stats rows) as well as its row. A tree reduce of the
+    candidate blocks (:func:`_bm25_stats`) gives N, the total length and
+    the QUERY terms' df — a handful of rows. One plain task per candidate
+    block scores it against that table and keeps its top-k, summing each
+    doc's contributions in (row, first-occurrence term) order, and a tree
+    merge of k-row tables picks the result. The corpus never shuffles.
+    Reference analogue: the viewer's ``find_text`` ranked search
+    (src/viewer/search.h) upgraded from LIKE-match to relevance ranking.
     """
     import pyarrow.compute as pc
 
-    from ocr_suite_ray.state.dupset import coalesce_reduce
-    from ocr_suite_ray.stages._bcast import cached_get
+    from ocr_suite_ray.state.dupset import block_refs, remote_fn, tree_reduce_refs
 
     qset = pa.array(sorted(set(query_terms)), pa.string())
-    _SENTINEL = "\x00stats"
 
-    def _stats_partial(t: pa.Table) -> pa.Table:
+    def _candidates(t: pa.Table) -> pa.Table:
         n_tok, flat, _off = _tokens(t[text_col])
         hit = pc.is_in(flat, value_set=qset).to_numpy(zero_copy_only=False)
-        terms, dfs = [], []
-        if hit.any():
-            enc = pc.dictionary_encode(flat.filter(pa.array(hit)))
-            if isinstance(enc, pa.ChunkedArray):
-                enc = enc.combine_chunks()
-            codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            n_dict = len(enc.dictionary)
-            row_of = np.repeat(np.arange(len(n_tok), dtype=np.int64), n_tok)[hit]
-            uniq = np.unique(row_of * n_dict + codes)
-            df = np.bincount(uniq % n_dict, minlength=n_dict)
-            terms = enc.dictionary.to_pylist()
-            dfs = df.tolist()
-        return pa.table(
-            {
-                "term": pa.array([_SENTINEL] + terms, pa.string()),
-                "df": pa.array([t.num_rows] + dfs, pa.int64()),
-                "dl": pa.array(
-                    [int(n_tok.sum())] + [0] * len(terms), pa.int64()
-                ),
-            }
-        )
-
-    def _stats_combine(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("df", "sum"), ("dl", "sum")])
-        return g.select(["term", "df_sum", "dl_sum"]).rename_columns(
-            ["term", "df", "dl"]
-        )
-
-    stats_ref = coalesce_reduce(
-        ds.map_batches(_stats_partial, batch_format="pyarrow"),
-        _stats_combine,
-        None,
-        materialize=False,
-    )
-
-    def _score(t: pa.Table) -> pa.Table:
-        # empty result carries the INPUT id type so empty and non-empty
-        # blocks always agree on schema
-        empty = pa.table(
-            {
-                id_col: pa.array([], t.schema.field(id_col).type),
-                "_score": pa.array([], pa.float64()),
-                "bm25_e4": pa.array([], pa.int64()),
-            }
-        )
-        stats = cached_get(stats_ref) if stats_ref is not None else None
-        if stats is None or stats.num_rows == 0:
-            return empty
-        term_np = stats["term"].to_pylist()
-        df_np = stats["df"].to_numpy(zero_copy_only=False).astype(np.float64)
-        dl_np = stats["dl"].to_numpy(zero_copy_only=False).astype(np.float64)
-        si = term_np.index(_SENTINEL)
-        n_docs, sum_dl = df_np[si], dl_np[si]
-        avgdl = sum_dl / max(n_docs, 1.0)
-        idf_by_term = {
-            term_np[j]: float(
-                np.log(1.0 + (n_docs - df_np[j] + 0.5) / (df_np[j] + 0.5))
-            )
-            for j in range(len(term_np))
-            if j != si
-        }
-        n_tok, flat, _off = _tokens(t[text_col])
-        hit = pc.is_in(flat, value_set=qset).to_numpy(zero_copy_only=False)
-        if not hit.any():
-            return empty
         enc = pc.dictionary_encode(flat.filter(pa.array(hit)))
         if isinstance(enc, pa.ChunkedArray):
             enc = enc.combine_chunks()
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_dict = len(enc.dictionary)
-        idf = np.array(
-            [idf_by_term.get(w, 0.0) for w in enc.dictionary.to_pylist()],
-            dtype=np.float64,
-        )
+        n_dict = max(len(enc.dictionary), 1)
         row_of = np.repeat(np.arange(len(n_tok), dtype=np.int64), n_tok)[hit]
+        # np.unique sorts by (row, dictionary code): the summation order
         uniq, tf = np.unique(row_of * n_dict + codes, return_counts=True)
-        rows, term_code = uniq // n_dict, uniq % n_dict
-        tf = tf.astype(np.float64)
-        dl = n_tok.astype(np.float64)[rows]
-        contrib = idf[term_code] * tf * (k1 + 1.0) / (
-            tf + k1 * (1.0 - b + b * dl / avgdl)
-        )
-        scores = np.zeros(t.num_rows, dtype=np.float64)
-        np.add.at(scores, rows, contrib)
-        matched = np.unique(rows)
-        sc = scores[matched]
-        return pa.table(
-            {
-                id_col: t[id_col].combine_chunks().take(
-                    pa.array(matched, pa.int64())
-                ),
-                "_score": pa.array(sc, pa.float64()),
-                "bm25_e4": pa.array(
-                    np.floor(sc * 10000 + 0.5).astype(np.int64), pa.int64()
-                ),
-            }
-        )
+        rows = uniq // n_dict
+        ids = t[id_col].combine_chunks()
+        return pa.table({
+            "row": pa.array(np.concatenate([[-1], rows])),
+            "term": pa.concat_arrays([
+                pa.nulls(1, pa.string()),
+                enc.dictionary.cast(pa.string()).take(pa.array(uniq % n_dict)),
+            ]),
+            "n": pa.array(np.concatenate([[t.num_rows], np.ones(len(rows), np.int64)])),
+            "tf": pa.array(np.concatenate([[0], tf]).astype(np.int64)),
+            "dl": pa.array(np.concatenate([[n_tok.sum()], n_tok[rows]])),
+            "id": pa.concat_arrays([pa.nulls(1, ids.type), ids.take(pa.array(rows))]),
+        })
 
-    def _topk(t: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            t, sort_keys=[("_score", "descending"), (id_col, "ascending")]
-        )
-        return t.take(idx[:top_k])
-
-    scored = ds.map_batches(_score, batch_format="pyarrow")
-    out = coalesce_reduce(scored, _topk, lambda t: _topk(t), materialize=True)
+    refs = block_refs(ds.map_batches(_candidates, batch_format="pyarrow"))
+    stats_ref = tree_reduce_refs(refs, _bm25_stats, materialize=False)
+    score = remote_fn(_bm25_score_block)
+    out = tree_reduce_refs(
+        [score.remote(stats_ref, r, k1, b, top_k) for r in refs],
+        lambda t: _bm25_topk(t, top_k),
+        materialize=True,
+    )
     if out is None:
         return pa.table(
             {id_col: pa.array([], pa.int64()), "bm25_e4": pa.array([], pa.int64())}
         )
-    return out.select([id_col, "bm25_e4"])
+    e4 = np.floor(out["_score"].to_numpy() * 10000 + 0.5).astype(np.int64)
+    return pa.table({id_col: out["id"], "bm25_e4": pa.array(e4, pa.int64())})
 
 
 def _dsir_series(tbl):

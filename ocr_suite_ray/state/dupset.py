@@ -27,6 +27,7 @@ membership check (``src/common/database.cpp:58-60``), taken distributed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
@@ -78,6 +79,42 @@ def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = 
     return ray.get(root) if materialize else root
 
 
+@functools.cache
+def remote_fn(fn):
+    """The Ray remote function of module-level ``fn``, made once per
+    process. A ``@ray.remote`` defined inside a call is exported again on
+    every call, and every worker loads each copy before running it; this
+    one is exported once per Ray session."""
+    import ray
+
+    return ray.remote(fn)
+
+
+def _or_empty(t, schema):
+    if t is not None and (t.num_rows or schema is None):
+        return t
+    return schema.empty_table() if schema is not None else pa.table({})
+
+
+def block_refs(ds) -> list:
+    """The block ObjectRefs of ``ds``, executing it once (see
+    ``coalesce_reduce`` for why not ``Dataset.to_arrow_refs``)."""
+    return [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+
+
+def dataset_from_root(root, schema: "pa.Schema | None" = None):
+    """One-block Dataset over a tree-reduce root ref. The root resolves to
+    ``None`` when every input block was empty (``tree_reduce_refs``'s
+    contract), and ``from_arrow_refs`` would crash on a ``None`` block — so
+    a worker task swaps a ``None`` or zero-row root for an empty table of
+    the declared ``schema`` (a ``None`` root becomes a zero-column table
+    when none is declared). The root's rows never pass through the
+    driver."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs([remote_fn(_or_empty).remote(root, schema)])
+
+
 def coalesce_reduce(ds, combine_fn, final_fn=None, materialize: bool = True):
     """Tree-reduce ``ds``'s blocks with remote tasks: ``combine_fn``
     (Table -> Table, associative) at every fan-in level, ``final_fn`` once at
@@ -101,8 +138,7 @@ def coalesce_reduce(ds, combine_fn, final_fn=None, materialize: bool = True):
     drive measured that as a full second 399 s candidate-generation pass.
     Pandas blocks (map_groups output) are normalized to Arrow inside the
     first merge task instead."""
-    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
-    return tree_reduce_refs(refs, combine_fn, final_fn, materialize)
+    return tree_reduce_refs(block_refs(ds), combine_fn, final_fn, materialize)
 
 
 def dup_key_table_ref_from_files(

@@ -15,6 +15,7 @@ from ocr_suite_ray.pipelines.search import (
     search_extracted,
     search_hierarchy,
 )
+from ocr_suite_ray.state.dupset import block_refs
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -170,11 +171,33 @@ def test_cli_watch_incremental(ray_session, tmp_path):
         proc.wait(timeout=30)
 
 
+def _bm25_oracle(ids, texts, terms, top_k):
+    """Driver-side exact BM25 (k1=1.2, b=0.75, Lucene idf), top-k by
+    (score desc, id asc), scores as bm25_e4."""
+    import math
+
+    toks = [x.split(" ") for x in texts]
+    n = float(len(toks))
+    avgdl = sum(len(w) for w in toks) / n
+    df = {q: float(sum(q in w for w in toks)) for q in terms}
+    scores = {}
+    for u, w in zip(ids, toks):
+        s = 0.0
+        for q in terms:
+            tf = float(w.count(q))
+            if not tf or not df[q]:
+                continue
+            idf = math.log(1.0 + (n - df[q] + 0.5) / (df[q] + 0.5))
+            s += idf * tf * 2.2 / (tf + 1.2 * (1 - 0.75 + 0.75 * len(w) / avgdl))
+        if s > 0:
+            scores[u] = s
+    want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    return [(u, math.floor(s * 10000 + 0.5)) for u, s in want]
+
+
 def test_bm25_rank_over_final_store(ray_session, final_store):
     """BM25 over the extracted store: ranked hits, oracle-checked against
     a driver-side exact BM25 on the same rows."""
-    import math
-
     import pyarrow.dataset as pads
     import ray.data as rd
 
@@ -187,27 +210,66 @@ def test_bm25_rank_over_final_store(ray_session, final_store):
         terms, id_col="url", text_col="text", top_k=5,
     )
     t = pads.dataset(final).to_table()
-    urls = t["url"].to_pylist()
-    texts = t["text"].to_pylist()
-    toks = [x.split(" ") for x in texts]
-    n = float(len(toks))
-    avgdl = sum(len(w) for w in toks) / n
-    df = {q: float(sum(q in w for w in toks)) for q in terms}
-    scores = {}
-    for u, w in zip(urls, toks):
-        s = 0.0
-        for q in terms:
-            tf = float(w.count(q))
-            if not tf or not df[q]:
-                continue
-            idf = math.log(1.0 + (n - df[q] + 0.5) / (df[q] + 0.5))
-            s += idf * tf * 2.2 / (tf + 1.2 * (1 - 0.75 + 0.75 * len(w) / avgdl))
-        if s > 0:
-            scores[u] = s
-    want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    want_e4 = [(u, math.floor(s * 10000 + 0.5)) for u, s in want]
-    got_pairs = list(zip(got["url"].to_pylist(), got["bm25_e4"].to_pylist()))
-    assert got_pairs == want_e4
+    want = _bm25_oracle(t["url"].to_pylist(), t["text"].to_pylist(), terms, 5)
+    assert list(zip(got["url"].to_pylist(), got["bm25_e4"].to_pylist())) == want
+
+
+def _bm25_rows(n, seed):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    vocab = ["render", "boiler", "pad", "fill", "noise", "plate"]
+    return [" ".join(rng.choice(vocab, size=rng.integers(1, 12))) for _ in range(n)]
+
+
+def test_bm25_rank_block_of_several_batches(ray_session, tmp_path):
+    """One parquet file read as several batches whose candidate tables
+    share one output block: rows of different batches with the same
+    in-batch index are different docs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    n = 25_000
+    texts = _bm25_rows(n, 11)
+    pq.write_table(pa.table({"doc_id": list(range(n)), "text": texts}),
+                   str(tmp_path / "docs.parquet"), row_group_size=4_000)
+
+    def _read():
+        return rd.read_parquet(str(tmp_path), override_num_blocks=1)
+
+    # the layout under test: one block carrying several batches
+    probe = _read().map_batches(
+        lambda t: pa.table({"rows": [t.num_rows]}), batch_format="pyarrow"
+    )
+    per_block = [ray.get(r)["rows"].to_pylist() for r in block_refs(probe)]
+    assert any(len(b) > 1 for b in per_block), per_block
+
+    from ocr_suite_ray.stages.text_ops import bm25_rank
+
+    got = bm25_rank(_read(), ["render", "boiler"], top_k=25)
+    want = _bm25_oracle(list(range(n)), texts, ["render", "boiler"], 25)
+    assert list(zip(got["doc_id"].to_pylist(), got["bm25_e4"].to_pylist())) == want
+
+
+def test_bm25_rank_over_more_blocks_than_fanin(ray_session):
+    """More than 32 blocks: the stats reduce and the top-k merge are both
+    two-level trees."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.text_ops import bm25_rank
+
+    n, parts = 700, 41
+    texts = _bm25_rows(n, 12)
+    t = pa.table({"doc_id": list(range(n)), "text": texts})
+    step = -(-n // parts)
+    ds = rd.from_arrow([t.slice(i, step) for i in range(0, n, step)])
+    assert ds.num_blocks() > 32
+    got = bm25_rank(ds, ["boiler", "plate"], top_k=15)
+    want = _bm25_oracle(list(range(n)), texts, ["boiler", "plate"], 15)
+    assert list(zip(got["doc_id"].to_pylist(), got["bm25_e4"].to_pylist())) == want
 
 
 def test_matches_per_url_counts_match_re_oracle(ray_session, final_store):
@@ -233,3 +295,141 @@ def test_matches_per_url_counts_match_re_oracle(ray_session, final_store):
         if n > 0:
             want[(u, ts)] = n
     assert got == want and want
+
+
+# ---------------------------------------------------------------- exact oracles
+
+SEARCH_COLS = ["url", "warc_ts", "n_blocks_kept", "status"]
+
+
+def _write_store(d, n_files, rows_per_file, row_group_size=None, null_ts=()):
+    """A hand-built final-store shard set: ``null_ts`` holds (file, row)
+    positions whose warc_ts is null; every third file repeats the
+    timestamps of file 0 so the url tiebreak decides their order."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    os.makedirs(d, exist_ok=True)
+    base = dt.datetime(2024, 3, 1, 22, 50)
+    words = ["alpha", "beta", "gamma", "delta"]
+    for f in range(n_files):
+        shift = 0 if f % 3 == 0 else f
+        ts = [base + dt.timedelta(minutes=3 * i + shift, seconds=f % 7)
+              for i in range(rows_per_file)]
+        for nf, nr in null_ts:
+            if nf == f:
+                ts[nr] = None
+        t = pa.table({
+            "url": [f"https://h{f % 5}.example/{f:03d}/{i}" for i in range(rows_per_file)],
+            "warc_ts": pa.array(ts, pa.timestamp("us")),
+            "text": pa.array(
+                [f"{words[(f + i) % 4]} {words[i % 3]} capture" for i in range(rows_per_file)],
+                pa.large_string(),
+            ),
+            "n_blocks_kept": pa.array([i % 4 for i in range(rows_per_file)], pa.int32()),
+            "status": ["ok" if i % 5 else "error:ValueError" for i in range(rows_per_file)],
+        })
+        pq.write_table(t, os.path.join(d, f"uniq-{f:03d}.parquet"),
+                       row_group_size=row_group_size)
+    return d
+
+
+def _want_search(final, pattern):
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(final, format="parquet").to_table(columns=SEARCH_COLS + ["text"])
+    hits = t.filter(pc.match_substring(t["text"], pattern)).select(SEARCH_COLS)
+    order = pc.sort_indices(
+        hits, sort_keys=[("warc_ts", "ascending"), ("url", "ascending")],
+        null_placement="at_end",
+    )
+    return hits.take(order).to_pylist()
+
+
+def _want_hierarchy(final, pattern):
+    from collections import Counter
+
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(final, format="parquet").to_table(columns=["warc_ts", "text"])
+    ts = t.filter(pc.match_substring(t["text"], pattern))["warc_ts"].to_pylist()
+    return Counter(
+        (None, None, None) if x is None
+        else (x.replace(hour=0, minute=0, second=0, microsecond=0), x.hour, x.minute)
+        for x in ts
+    )
+
+
+def _got_hierarchy(ds):
+    from collections import Counter
+
+    got = Counter()
+    for r in ds.take_all():
+        got[(r["day"], r["hour"], r["minute"])] += r["n"]
+    return got
+
+
+def test_search_extracted_null_ts_sorts_last(ray_session, tmp_path):
+    """A null capture time sorts after every timestamp (ascending, nulls
+    last), url ascending breaks timestamp ties, and the hierarchy keeps
+    the null row as its own all-null group."""
+    d = _write_store(str(tmp_path / "final"), 3, 6, null_ts=[(1, 2), (2, 0)])
+    rows = search_extracted(d, "capture").take_all()
+    assert rows == _want_search(d, "capture")
+    assert [r["warc_ts"] for r in rows[-2:]] == [None, None]
+    assert rows[-2]["url"] < rows[-1]["url"]
+    assert all(r["warc_ts"] is not None for r in rows[:-2])
+    got = _got_hierarchy(search_hierarchy(d, "capture"))
+    assert got == _want_hierarchy(d, "capture")
+    assert got[(None, None, None)] == 2
+
+
+def test_search_extracted_equals_pyarrow_oracle(ray_session, final_store):
+    final, _ = final_store
+    for pattern in ("capture", "render"):
+        want = _want_search(final, pattern)
+        assert want, pattern
+        assert search_extracted(final, pattern).take_all() == want
+
+
+def test_search_hierarchy_equals_pyarrow_multiset(ray_session, final_store):
+    final, _ = final_store
+    got = _got_hierarchy(search_hierarchy(final, "capture"))
+    assert got == _want_hierarchy(final, "capture")
+
+
+def test_zero_hit_pattern_keeps_declared_schema(ray_session, final_store):
+    import pyarrow as pa
+
+    final, _ = final_store
+    hits = search_extracted(final, "zqxjkv")
+    assert hits.take_all() == []
+    assert hits.schema().names == SEARCH_COLS
+    assert hits.schema().types == [
+        pa.string(), pa.timestamp("us"), pa.int32(), pa.string()
+    ]
+    tree = search_hierarchy(final, "zqxjkv")
+    assert tree.take_all() == []
+    assert tree.schema().names == ["day", "hour", "minute", "n"]
+    assert tree.schema().types == [
+        pa.timestamp("us"), pa.int32(), pa.int32(), pa.int64()
+    ]
+
+
+def test_search_over_more_files_than_fanin(ray_session, tmp_path):
+    """41 files of 4 row groups each: the per-file scans feed a two-level
+    merge tree, and every row group is read."""
+    import pyarrow.parquet as pq
+
+    d = _write_store(str(tmp_path / "final"), 41, 20, row_group_size=5,
+                     null_ts=[(7, 3)])
+    assert pq.ParquetFile(os.path.join(d, "uniq-000.parquet")).num_row_groups == 4
+    for pattern in ("capture", "alpha beta", "gamma"):
+        want = _want_search(d, pattern)
+        assert want, pattern
+        assert search_extracted(d, pattern).take_all() == want
+        assert _got_hierarchy(search_hierarchy(d, pattern)) == _want_hierarchy(d, pattern)

@@ -163,7 +163,6 @@ def run_bench() -> dict:
     cfg = ExtractConfig(
         pool_size=max(2, NUM_CPUS - max(1, NUM_CPUS // 8)),
         wave_size="auto",
-        num_partitions=max(16, NUM_CPUS),
     )
     t0 = time.monotonic()
     summary = run_pipeline(pages_dir, out_dir, cfg)

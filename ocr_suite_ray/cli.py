@@ -51,7 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     pe.add_argument("--pages", required=True)
     pe.add_argument("--out", required=True)
     pe.add_argument("--pool", type=int, default=8)
-    pe.add_argument("--batch-size", type=int, default=64)
     pe.add_argument(
         "--wave-size",
         type=lambda s: s if s == "auto" else int(s),
@@ -238,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             from ocr_suite_ray.pipelines.extract import ExtractConfig, run_pipeline
 
             cfg = ExtractConfig(
-                batch_size=a.batch_size, pool_size=a.pool, wave_size=a.wave_size,
+                pool_size=a.pool, wave_size=a.wave_size,
                 debug_dump=a.debug_dump,
                 on_bad_input="quarantine" if a.quarantine_bad_inputs else "raise",
             )

@@ -5,8 +5,8 @@ The Ray-Data restatement of the reference's recognition loop (``SURVEY.md``
 
     phase 0: url-column-only scan → global dup-url set           [narrow reduce]
     phase 1 (per wave, resumable): Dataset of (file,row_group,pid) specs
-      → map_batches(FusedExtractWriter, concurrency=pool)        [ACTOR POOL:
-        read row group → sniff → warm-parser extract → tag is_dup
+      → map_batches(fused_extract_task, concurrency=pool)        [TASK POOL:
+        read row group → warm-parser extract → tag is_dup
         → write partition_id=N/is_dup=K files; emits only counts]
       → atomic commit + per-partition lineage
     phase 2: hardlink unique-url files into final/ + exact reduce
@@ -23,19 +23,17 @@ at row-group granularity. Partitions are salted with the fingerprint of
 their OWN dup-membership decisions (`_per_file_dup_fp_refs`), so growing the
 input re-extracts only partitions whose flags actually changed.
 
-The fused wave exists because Ray cannot fuse a task-based ReadParquet into
-an actor-pool map_batches: the unfused pipeline moves every payload byte
-through the object store twice (measured in BASELINE.md's ablation). Set
-``fused_wave=False`` for the classic operator pipeline
-(read → sniff → extract → tag → sink), e.g. when ``split_pdf_pool=True``
-routes PDFs to a dedicated high-memory pool (the VisionKit-isolation
-analogue, ``README.md:80-81``).
+The wave is ONE operator because Ray cannot fuse a task-based ReadParquet
+into a downstream map_batches: a separate read → extract → tag → write
+operator chain moves every payload byte through the object store twice
+(measured in BASELINE.md's ablation). Each task reads its row group
+directly and writes its own output files — the reference's one consumer
+thread per warm engine, with no shared writer.
 
 Skew (north_star): work units are row groups, which are written with a
-fixed ROW count — so a byte-heavy unit is exactly one carrying giant DOMs,
-and it delays only its own task while the pool streams on. The explicit
-``size_cluster`` sniff-sort remains available for sub-batch clustering
-(ablation showed whole-unit tasks faster at high core counts).
+fixed ROW count — so a byte-heavy unit is exactly one carrying giant DOMs
+or PDFs, and it delays only its own task while the pool streams on. The
+work granularity comes from the data, not from a routing option.
 
 Phase 2 (dedup + finalize) costs O(dup rate), not O(corpus): unique-url
 partition files are hardlinked, only dup-url rows are reduced; it re-runs
@@ -54,14 +52,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ocr_suite_ray.stages.dedup import dedup_latest
-from ocr_suite_ray.stages.extract import PageExtractor, PdfExtractor, sniff_batch
+from ocr_suite_ray.stages.extract import PageExtractor
 from ocr_suite_ray.state import lineage as lin
 from ocr_suite_ray.state.dupset import (
     DupMembership,
-    coalesce_reduce,
     dup_key_table_ref,
-    dup_meta,
     dup_meta_ref,
     load_dup_table_ref,
     membership_ref,
@@ -72,13 +67,8 @@ PAGES_COLUMNS = ["url", "warc_ts", "html"]  # prune at the read: text/lang unuse
 
 @dataclass
 class ExtractConfig:
-    # None = one extractor call per block. Ray's read path splits blocks by
-    # BYTES (SplitBlocks), so a block holds either ~1000 median pages or a
-    # handful of giant DOMs — the size bucketing the skew isolation needs
-    # falls out of block formation, and whole-block tasks measured faster at
-    # high core counts than sub-batch slicing (see BASELINE.md ablation).
-    batch_size: int | None = None
-    pool_size: int | tuple = 8       # extractor actor pool (concurrency)
+    pool_size: int | tuple = 8       # fused-wave task concurrency (a
+                                     # tuple leaves it to Ray Data)
     # input partitions (files) committed per wave. "auto" bounds the wave
     # COUNT instead of the wave size (see _resolve_wave_size): every wave
     # barrier pays a fixed pipeline-ramp cost (~1.8 s at 32 cpus — warm
@@ -89,20 +79,12 @@ class ExtractConfig:
     # completion markers checkpoint each (file, row_group) unit inside the
     # running wave.
     wave_size: int | str = "auto"
-    dedup_strategy: str = "partial"
-    split_pdf_pool: bool = False     # dedicated PDF pool (second input pass)
-    pdf_pool_size: int = 2
-    num_partitions: int = 32         # hash partitions for shuffle dedup paths
     key_exchange: str = "narrow"     # dup-url detection: narrow | shuffle
-    size_cluster: bool = False       # explicit within-block (kind,size) sort
-    fused_wave: bool = True          # one-operator read+extract+write waves
-    fused_compute: str = "tasks"     # fused stage scheduling: tasks (warm
-                                     # per-worker cache, no pool ramp) | actors
     bloom_threshold: int = 1_000_000 # dup-set size above which a Bloom
                                      # filter replaces the exact broadcast
     debug_dump: bool = False         # side-dump raw payloads of error rows
                                      # to out_dir/debug/ (bmp.cpp triage
-                                     # analogue); fused waves only
+                                     # analogue)
     # "raise" (default): a corrupt/unreadable input parquet fails the run
     # fast. "quarantine": probe every file's footer + schema up front
     # (parallel remote tasks) and EXCLUDE unreadable shards — at 100 TB a
@@ -164,40 +146,6 @@ def _probe_inputs(files: list[str], out_dir: str) -> tuple[list[str], list[dict]
     elif os.path.exists(qpath):
         os.remove(qpath)  # all previously-bad files fixed
     return good, bad
-
-
-def _sniff_and_cluster(batch: pa.Table) -> pa.Table:
-    """Sniff payload kind/size, then sort the block by (kind, size) so
-    map_batches slices homogeneous batches (block-level size bucketing)."""
-    t = sniff_batch(batch)
-    idx = pc.sort_indices(
-        t, sort_keys=[("payload_kind", "ascending"), ("payload_bytes", "ascending")]
-    )
-    return t.take(idx)
-
-
-def _read_wave(wave: list[tuple[int, str]], cfg: ExtractConfig):
-    """One Dataset over a wave's files with a partition_id column attached
-    via the include_paths hook (no extra pass, keeps Ray's per-file/row-group
-    read parallelism)."""
-    import ray.data as rd
-
-    # key by resolved ABSOLUTE path: Ray's include_paths exposes the
-    # filesystem-resolved path, so a relative pages_dir would KeyError
-    pid_by_path = {os.path.abspath(path): pid for pid, path in wave}
-
-    def _attach_pid(batch: pa.Table) -> pa.Table:
-        pids = [pid_by_path[os.path.abspath(p)]
-                for p in batch["path"].to_pylist()]
-        batch = batch.drop_columns(["path"])
-        return batch.append_column("partition_id", pa.array(pids, pa.int64()))
-
-    ds = rd.read_parquet(
-        [path for _, path in wave],
-        columns=PAGES_COLUMNS,
-        include_paths=True,
-    )
-    return ds.map_batches(_attach_pid, batch_format="pyarrow")
 
 
 def _input_dup_membership(
@@ -293,70 +241,21 @@ def _per_file_dup_fp_refs(files: list[str], member_box: list) -> list:
     return [_fp.remote(p, member_box[0]) for p in files]
 
 
-def _tag_dup(ds, member_box: list):
-    """Append is_dup (0/1) — becomes a hive partition key so the finalize
-    step can link unique files instead of rewriting them. ``member_box`` is
-    the boxed payload ObjectRef; each task reads the node-local copy."""
-    import ray
-
-    def _tag(t: pa.Table) -> pa.Table:
-        member = DupMembership(ray.get(member_box[0]))
-        return t.append_column("is_dup", member.flags(t["url"]))
-
-    return ds.map_batches(_tag, batch_format="pyarrow")
-
-
-def _extract_ds(ds, cfg: ExtractConfig):
-    ds = ds.map_batches(
-        _sniff_and_cluster if cfg.size_cluster else sniff_batch,
-        batch_format="pyarrow",
-    )
-    main_kw: dict = {"batch_format": "pyarrow", "concurrency": cfg.pool_size}
-    if cfg.batch_size is not None:
-        main_kw["batch_size"] = cfg.batch_size
-    ctor = {"fn_constructor_kwargs": {"ocr_engine": cfg.ocr_engine}}
-    if cfg.split_pdf_pool:
-        html = ds.map_batches(
-            lambda t: t.filter(pc.not_equal(t["payload_kind"], "pdf")),
-            batch_format="pyarrow",
-        ).map_batches(PageExtractor, **main_kw, **ctor)
-        pdf = ds.map_batches(
-            lambda t: t.filter(pc.equal(t["payload_kind"], "pdf")),
-            batch_format="pyarrow",
-        ).map_batches(
-            PdfExtractor,
-            batch_format="pyarrow",
-            batch_size=max(4, (cfg.batch_size or 128) // 8),
-            concurrency=cfg.pdf_pool_size,
-            **ctor,
-        )
-        return html.union(pdf)
-    return ds.map_batches(PageExtractor, **main_kw, **ctor)
-
-
-def _parquet_files_under(root: str) -> list[str]:
-    out = []
-    for dirpath, _dirs, names in os.walk(root):
-        out.extend(os.path.join(dirpath, f) for f in names if f.endswith(".parquet"))
-    return sorted(out)
-
-
 def _commit_wave(
     tmp_dir: str,
     extracted_dir: str,
     wave: list[tuple[int, str]],
     wall: float,
+    counts: list,
     salt: str = "",
-    counts: list | None = None,
 ) -> int:
     """Atomically promote each partition's output dir and write its lineage
     record. Returns rows committed. ``counts`` = [(pid, n)] rows from the
-    fused sink; when absent, row counts come from parquet footers."""
+    fused sink (live units plus reused unit markers)."""
     total = 0
     per_pid_rows: dict[int, int] = {pid: 0 for pid, _ in wave}
-    if counts is not None:
-        for r in counts:
-            per_pid_rows[int(r["pid"])] = per_pid_rows.get(int(r["pid"]), 0) + int(r["n"])
+    for r in counts:
+        per_pid_rows[int(r["pid"])] = per_pid_rows.get(int(r["pid"]), 0) + int(r["n"])
     for pid, _ in wave:
         src = os.path.join(tmp_dir, f"partition_id={pid}")
         dst = os.path.join(extracted_dir, f"partition_id={pid}")
@@ -368,20 +267,13 @@ def _commit_wave(
             # resume: by the time a wave commits, every live unit has
             # os.replace'd its FINAL '.parquet' name, so anything else in
             # the dir is garbage — promoting it would permanently plant a
-            # corrupt file that pyarrow dataset discovery (the unfused
-            # finalize fallback) trips over
+            # truncated file in extracted/ that no later run cleans up (the
+            # finalize and migrate walks take only '.parquet' names, but a
+            # plain pyarrow dataset read of the store would trip over it)
             for root, _dirs, fns in os.walk(src):  # incl. is_dup= level
                 for fn in fns:
                     if not fn.endswith(".parquet") and ".tmp" in fn:
                         os.remove(os.path.join(root, fn))
-        if counts is None:
-            files_under = _parquet_files_under(src)
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=16) as ex:
-                per_pid_rows[pid] = sum(
-                    ex.map(lambda f: pq.read_metadata(f).num_rows, files_under)
-                )
         n = per_pid_rows[pid]
         total += n
         if os.path.isdir(dst):
@@ -520,6 +412,12 @@ def _run_extract_phase_locked(
     }
     if quarantined:
         summary["quarantined"] = quarantined
+    import ray.data as rd
+
+    debug_dir = os.path.join(out_dir, "debug") if cfg.debug_dump else None
+    concurrency = (
+        {"concurrency": cfg.pool_size} if isinstance(cfg.pool_size, int) else {}
+    )
     first_wave = True
     wave_size = _resolve_wave_size(cfg.wave_size, len(pending))
     for w0 in range(0, len(pending), wave_size):
@@ -527,7 +425,7 @@ def _run_extract_phase_locked(
         tmp_dir = os.path.join(out_dir, "_wave_tmp")
         done_units: dict = {}
         if os.path.isdir(tmp_dir):
-            if first_wave and cfg.fused_wave and not cfg.split_pdf_pool:
+            if first_wave:
                 # leftovers from a killed run: units that completed (files
                 # written + marker committed, verified against the current
                 # input fingerprint + code salt) are reused — a killed job
@@ -538,109 +436,80 @@ def _run_extract_phase_locked(
                 shutil.rmtree(tmp_dir)
         first_wave = False
         t0 = time.monotonic()
-        if cfg.fused_wave and not cfg.split_pdf_pool:
-            # fully fused: read + extract + tag + write in one actor-pool
-            # operator over (file, row_group) specs — neither input payloads
-            # nor outputs ever cross the object store
-            import ray.data as rd
-
-            specs = _wave_specs(wave, salt=dupset_fp)
-            reused: list[dict] = []
-            if done_units:
-                keep = []
-                for k in range(specs.num_rows):
-                    key = (specs["path"][k].as_py(), specs["row_group"][k].as_py())
-                    done = done_units.get(key)
-                    # pid must match too: if the input list shifted, a
-                    # marker's rows sit under the wrong partition dir
-                    if done is not None and done["pid"] == specs["partition_id"][k].as_py():
-                        reused.append(done)
-                    else:
-                        keep.append(k)
-                specs = specs.take(pa.array(keep, pa.int64()))
-                # prune stale partition dirs the reused markers do NOT
-                # account for: when the input list shifts (a new file sorts
-                # before existing ones), the killed run's partition_id=<old>
-                # dirs hold a DIFFERENT file's rows under a pid this wave
-                # will commit — promoting them would duplicate urls in
-                # final/. Re-run units rewrite their content-named files
-                # deterministically, so deleting any unreused pid dir only
-                # costs redundant work, never correctness. (pid→file is
-                # injective per run, so a dir with a reused marker cannot
-                # also hold another file's stale rows.)
-                reused_pids = {r["pid"] for r in reused}
-                for d in os.listdir(tmp_dir):
-                    if not d.startswith("partition_id="):
+        # read + extract + tag + write in one task-pool operator over
+        # (file, row_group) specs — neither input payloads nor outputs ever
+        # cross the object store
+        specs = _wave_specs(wave, salt=dupset_fp)
+        reused: list[dict] = []
+        if done_units:
+            keep = []
+            for k in range(specs.num_rows):
+                key = (specs["path"][k].as_py(), specs["row_group"][k].as_py())
+                done = done_units.get(key)
+                # pid must match too: if the input list shifted, a
+                # marker's rows sit under the wrong partition dir
+                if done is not None and done["pid"] == specs["partition_id"][k].as_py():
+                    reused.append(done)
+                else:
+                    keep.append(k)
+            specs = specs.take(pa.array(keep, pa.int64()))
+            # prune stale partition dirs the reused markers do NOT
+            # account for: when the input list shifts (a new file sorts
+            # before existing ones), the killed run's partition_id=<old>
+            # dirs hold a DIFFERENT file's rows under a pid this wave
+            # will commit — promoting them would duplicate urls in
+            # final/. Re-run units rewrite their content-named files
+            # deterministically, so deleting any unreused pid dir only
+            # costs redundant work, never correctness. (pid→file is
+            # injective per run, so a dir with a reused marker cannot
+            # also hold another file's stale rows.)
+            reused_pids = {r["pid"] for r in reused}
+            for d in os.listdir(tmp_dir):
+                if not d.startswith("partition_id="):
+                    continue
+                if int(d.split("=", 1)[1]) not in reused_pids:
+                    shutil.rmtree(os.path.join(tmp_dir, d))
+            # ... and their ORPHANED markers: a pruned pid's marker
+            # left behind could be "reused" by a later resume whose
+            # input list shifted back, committing a done partition
+            # whose output files this rmtree just deleted (silently
+            # missing rows). Marker pid not in reused set -> delete.
+            udir = os.path.join(tmp_dir, _UNITS_DIR)
+            if os.path.isdir(udir):
+                for f in os.listdir(udir):
+                    if not f.endswith(".json"):
                         continue
-                    if int(d.split("=", 1)[1]) not in reused_pids:
-                        shutil.rmtree(os.path.join(tmp_dir, d))
-                # ... and their ORPHANED markers: a pruned pid's marker
-                # left behind could be "reused" by a later resume whose
-                # input list shifted back, committing a done partition
-                # whose output files this rmtree just deleted (silently
-                # missing rows). Marker pid not in reused set -> delete.
-                udir = os.path.join(tmp_dir, _UNITS_DIR)
-                if os.path.isdir(udir):
-                    for f in os.listdir(udir):
-                        if not f.endswith(".json"):
-                            continue
-                        fp_path = os.path.join(udir, f)
-                        try:
-                            with open(fp_path) as fh:
-                                mpid = json.load(fh).get("pid")
-                        except (OSError, ValueError):
-                            mpid = None
-                        if mpid not in reused_pids:
-                            os.unlink(fp_path)
-            if cfg.fused_compute == "tasks":
-                # task pool + per-worker warm cache: reuses the session's
-                # warm workers (no per-wave actor spawn/import ramp)
-                debug_dir = os.path.join(out_dir, "debug") if cfg.debug_dump else None
-                map_kw: dict = {
-                    "batch_format": "pyarrow",
-                    "batch_size": 1,
-                    "fn_kwargs": {
-                        "tmp_dir": tmp_dir,
-                        "member_box": member_box,
-                        "debug_dir": debug_dir,
-                        "ocr_engine": cfg.ocr_engine,
-                    },
-                }
-                if isinstance(cfg.pool_size, int):
-                    map_kw["concurrency"] = cfg.pool_size
-                stage = fused_extract_task
-            else:
-                map_kw = {
-                    "batch_format": "pyarrow",
-                    "batch_size": 1,
-                    "concurrency": cfg.pool_size,
-                    "fn_constructor_args": (
-                        tmp_dir,
-                        member_box,
-                        os.path.join(out_dir, "debug") if cfg.debug_dump else None,
-                        cfg.ocr_engine,
-                    ),
-                }
-                stage = FusedExtractWriter
-            counts = (
-                rd.from_arrow(specs)
-                .repartition(specs.num_rows)  # one block per spec => full task parallelism
-                .map_batches(stage, **map_kw)
-                .take_all()
-            ) if specs.num_rows else []
-            counts = counts + reused
-        else:
-            ds = _extract_ds(_read_wave(wave, cfg), cfg)
-            ds = _tag_dup(ds, member_box)
-            # fused sink: each extract task writes its own partition files
-            # and emits only (pid, rows) counts — no separate Write operator
-            # (the no-shared-writer design, cf. SURVEY §4 shared-writer row)
-            counts = ds.map_batches(
-                _SinkWriter(tmp_dir), batch_format="pyarrow"
-            ).take_all()
+                    fp_path = os.path.join(udir, f)
+                    try:
+                        with open(fp_path) as fh:
+                            mpid = json.load(fh).get("pid")
+                    except (OSError, ValueError):
+                        mpid = None
+                    if mpid not in reused_pids:
+                        os.unlink(fp_path)
+        # task pool + per-worker warm cache (fused_extract_task): reuses the
+        # session's warm workers, so a wave pays no actor spawn/import ramp
+        counts = (
+            rd.from_arrow(specs)
+            .repartition(specs.num_rows)  # one block per spec => full task parallelism
+            .map_batches(
+                fused_extract_task,
+                batch_format="pyarrow",
+                batch_size=1,
+                fn_kwargs={
+                    "tmp_dir": tmp_dir,
+                    "member_box": member_box,
+                    "debug_dir": debug_dir,
+                    "ocr_engine": cfg.ocr_engine,
+                },
+                **concurrency,
+            )
+            .take_all()
+        ) if specs.num_rows else []
+        counts = counts + reused
         wall = time.monotonic() - t0
         summary["waves_s"] = round(summary["waves_s"] + wall, 3)
-        if counts and any("read_s" in r for r in counts):
+        if any("read_s" in r for r in counts):
             # pool busy-time decomposition (reused-marker rows carry no
             # timings; live rows are 1 spec per call)
             for phase in ("read_s", "extract_s", "tag_s", "write_s"):
@@ -651,7 +520,7 @@ def _run_extract_phase_locked(
                 )
         t_c0 = time.monotonic()
         summary["rows_extracted"] += _commit_wave(
-            tmp_dir, extracted_dir, wave, wall, salt=dupset_fp, counts=counts
+            tmp_dir, extracted_dir, wave, wall, counts, salt=dupset_fp
         )
         summary["commit_s"] = round(
             summary["commit_s"] + (time.monotonic() - t_c0), 3
@@ -725,6 +594,12 @@ def _load_unit_markers(tmp_dir: str, salt: str) -> dict:
 
 _FUSED_CACHE: dict = {}
 
+# one row per unit: rows written plus per-phase busy seconds
+_COUNTS_SCHEMA = pa.schema(
+    [("pid", pa.int64()), ("n", pa.int64())]
+    + [(k, pa.float64()) for k in ("read_s", "extract_s", "tag_s", "write_s")]
+)
+
 
 def fused_extract_task(
     spec: pa.Table,
@@ -752,10 +627,11 @@ def fused_extract_task(
 
 class FusedExtractWriter:
     """The whole wave in ONE operator: each call takes one
-    (path, row_group, pid) spec, reads that row group directly (no object
-    store transfer — Ray cannot fuse task-based reads into pool stages, so
-    we fuse by hand), sniffs, extracts with the warm parser, tags is_dup,
-    writes the partition files, and returns only (pid, n) counts.
+    (path, row_group, pid, fp) spec, reads that row group directly (no
+    object store transfer — Ray cannot fuse task-based reads into a
+    downstream stage, so we fuse by hand), extracts with the warm parser,
+    tags is_dup, writes the partition files and the unit marker, and
+    returns only (pid, n) counts plus per-phase busy seconds.
 
     The reference analogue is exact: one consumer thread = warm Tesseract +
     direct frame access + its own DB writes (``src/recognition/main.cpp:
@@ -771,7 +647,7 @@ class FusedExtractWriter:
         # NB: no runtime package imports here — this body runs in the worker,
         # which may not have the repo on sys.path (classes ship by value).
         # member_box holds the membership payload's ObjectRef (boxed so Ray
-        # ships the ref, not the payload) — one node-local get per actor.
+        # ships the ref, not the payload) — one node-local get per worker.
         import ray
 
         self._sink = _SinkWriter(tmp_dir)
@@ -818,53 +694,41 @@ class FusedExtractWriter:
         os.replace(tmp, os.path.join(self._units_dir, name))
 
     def __call__(self, spec: pa.Table) -> pa.Table:
-        outs = []
-        has_fp = "fp" in spec.column_names
-        for k, (path, rg, pid) in enumerate(zip(
+        rows = []
+        for path, rg, pid, fp in zip(
             spec["path"].to_pylist(),
             spec["row_group"].to_pylist(),
             spec["partition_id"].to_pylist(),
-        )):
+            spec["fp"].to_pylist(),
+        ):
             t0 = time.monotonic()
             t = pq.ParquetFile(path).read_row_group(rg, columns=PAGES_COLUMNS)
-            t = t.append_column(
-                "partition_id", pa.array([pid] * t.num_rows, pa.int64())
-            )
             t_read = time.monotonic()
             ext = self._extract(t)
             t_ext = time.monotonic()
             if self._debug_dir is not None:
                 self._dump_errors(t, ext)
-            ext = ext.append_column("is_dup", self._member.flags(ext["url"]))
+            is_dup = self._member.flags(ext["url"])
             t_tag = time.monotonic()
-            counts = self._sink(ext)
-            if has_fp:
-                self._write_marker(
-                    path, rg, pid,
-                    int(pc.sum(counts["n"]).as_py() or 0),
-                    spec["fp"][k].as_py(),
-                )
+            self._sink(ext, is_dup, pid)
+            self._write_marker(path, rg, pid, ext.num_rows, fp)
             t_done = time.monotonic()
-            counts = counts.append_column(
-                "read_s", pa.array([t_read - t0] * counts.num_rows, pa.float64())
-            ).append_column(
-                "extract_s", pa.array([t_ext - t_read] * counts.num_rows, pa.float64())
-            ).append_column(
-                "tag_s", pa.array([t_tag - t_ext] * counts.num_rows, pa.float64())
-            ).append_column(
-                "write_s", pa.array([t_done - t_tag] * counts.num_rows, pa.float64())
-            )
-            outs.append(counts)
-        return pa.concat_tables(outs) if outs else pa.table(
-            {"pid": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
+            rows.append({
+                "pid": pid,
+                "n": ext.num_rows,
+                "read_s": t_read - t0,
+                "extract_s": t_ext - t_read,
+                "tag_s": t_tag - t_ext,
+                "write_s": t_done - t_tag,
+            })
+        return pa.Table.from_pylist(rows, schema=_COUNTS_SCHEMA)
 
 
 class _SinkWriter:
-    """Fused per-task parquet sink for the wave pipeline: splits each block
-    by (partition_id, is_dup), writes one file per group with a
-    deterministic content-derived name (idempotent under task retries) and
-    returns only the per-pid row counts."""
+    """Per-unit parquet sink of the fused wave: splits one row group's
+    extracted rows by is_dup and writes one file per flag under
+    ``partition_id=<pid>/is_dup=<flag>/`` with a deterministic
+    content-derived name (idempotent under task retries)."""
 
     def __init__(self, tmp_dir: str) -> None:
         self._tmp = tmp_dir
@@ -889,73 +753,47 @@ class _SinkWriter:
         h.update(str(out.num_rows).encode())
         return h.hexdigest()[:16]
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        pids: list[int] = []
-        ns: list[int] = []
-        uniq_pids = pc.unique(t["partition_id"]).to_pylist()
-        for pid in uniq_pids:
-            # single-pid blocks (always true on the fused path: one spec =
-            # one row group = one partition) skip the filter copy — the
-            # output column is bandwidth-expensive to rewrite
-            sub_p = (
-                t if len(uniq_pids) == 1
-                else t.filter(pc.equal(t["partition_id"], pid))
+    def __call__(self, t: pa.Table, is_dup: pa.Array, pid: int) -> None:
+        flags = pc.unique(is_dup).to_pylist()
+        for flag in flags:
+            # a single-flag unit (the common case) skips the filter copy —
+            # the text column is bandwidth-expensive to rewrite
+            sub = t if len(flags) == 1 else t.filter(pc.equal(is_dup, flag))
+            out = sub.combine_chunks()
+            d = os.path.join(self._tmp, f"partition_id={pid}", f"is_dup={flag}")
+            os.makedirs(d, exist_ok=True)
+            sig = self._content_sig(out)
+            path = os.path.join(d, f"part-{sig}.parquet")
+            # dictionary encoding is pure overhead for near-unique text/
+            # url values, and statistics only pay for themselves on url
+            # (fetch_payload's pushdown key) — both measurably inflate
+            # write CPU under full-box concurrency
+            pq.write_table(
+                out,
+                path + f".tmp{sig}",
+                use_dictionary=False,
+                write_statistics=["url", "warc_ts"],
             )
-            uniq_flags = pc.unique(sub_p["is_dup"]).to_pylist()
-            for flag in uniq_flags:
-                sub = (
-                    sub_p if len(uniq_flags) == 1
-                    else sub_p.filter(pc.equal(sub_p["is_dup"], flag))
-                )
-                out = sub.drop_columns(["partition_id", "is_dup"]).combine_chunks()
-                d = os.path.join(self._tmp, f"partition_id={pid}", f"is_dup={flag}")
-                os.makedirs(d, exist_ok=True)
-                sig = self._content_sig(out)
-                path = os.path.join(d, f"part-{sig}.parquet")
-                # dictionary encoding is pure overhead for near-unique text/
-                # url values, and statistics only pay for themselves on url
-                # (fetch_payload's pushdown key) — both measurably inflate
-                # write CPU under full-box concurrency
-                pq.write_table(
-                    out,
-                    path + f".tmp{sig}",
-                    use_dictionary=False,
-                    write_statistics=["url", "warc_ts"],
-                )
-                os.replace(path + f".tmp{sig}", path)
-            pids.append(int(pid))
-            ns.append(sub_p.num_rows)
-        return pa.table(
-            {"pid": pa.array(pids, pa.int64()), "n": pa.array(ns, pa.int64())}
-        )
+            os.replace(path + f".tmp{sig}", path)
 
 
 def run_finalize_phase(out_dir: str, cfg: ExtractConfig | None = None) -> dict:
     """Phase 2 (single-writer-locked, same flock as the extract phase — a
     finalize racing another process's extract/finalize on one store would
     corrupt final.tmp / final_manifest.json): newest-capture-wins dedup over
-    all done partitions → final/."""
+    all done partitions → final/. ``cfg`` is accepted for call symmetry with
+    ``run_extract_phase``; the finalize has no settings of its own."""
     with PipelineLock(out_dir):
-        return _run_finalize_phase_locked(out_dir, cfg)
+        return _run_finalize_phase_locked(out_dir)
 
 
-def _run_finalize_phase_locked(out_dir: str, cfg: ExtractConfig | None = None) -> dict:
-    """Newest-capture-wins dedup over all done partitions → final/.
-
-    Single-pass split-write (the ``partial`` dedup specialized for a sink):
-    after a url-column-only count finds the (rare) duplicate-capture urls,
-    ONE streaming pass writes unique-url rows straight to the final store
-    from inside the filter task (deterministic per-block filenames make task
-    retries idempotent) and forwards only dup rows; the tiny dup subset then
-    gets the exact per-url groupby reduce. Total motion: one full read, one
-    full write, zero payload shuffle. Other cfg.dedup_strategy values fall
-    back to dedup_latest + write.
+def _run_finalize_phase_locked(out_dir: str) -> dict:
+    """Newest-capture-wins dedup over all done partitions → final/, via
+    `_finalize_linked` (hardlink the is_dup=0 files, exactly reduce the
+    is_dup=1 subset), staged in final.tmp and promoted by rename.
 
     Skipped when the done-set fingerprint matches the last finalize (the
     global-watermark check)."""
-    import ray.data as rd
-
-    cfg = cfg or ExtractConfig()
     extracted_dir = os.path.join(out_dir, "extracted")
     final_dir = os.path.join(out_dir, "final")
     manifest_path = os.path.join(out_dir, "final_manifest.json")
@@ -967,28 +805,7 @@ def _run_finalize_phase_locked(out_dir: str, cfg: ExtractConfig | None = None) -
     tmp_final = final_dir + ".tmp"
     if os.path.isdir(tmp_final):
         shutil.rmtree(tmp_final)
-    has_dup_layout = any(
-        d.startswith("is_dup=")
-        for pdir in os.listdir(extracted_dir)
-        if os.path.isdir(os.path.join(extracted_dir, pdir))
-        for d in os.listdir(os.path.join(extracted_dir, pdir))
-    ) if os.path.isdir(extracted_dir) else False
-    if cfg.dedup_strategy == "partial" and has_dup_layout:
-        _finalize_linked(extracted_dir, tmp_final)
-    else:
-        ds = rd.read_parquet(extracted_dir)
-        drop = [c for c in ("partition_id", "is_dup") if c in ds.schema().names]
-        if drop:
-            ds = ds.drop_columns(drop)
-        if cfg.dedup_strategy == "partial":
-            _finalize_split_write(
-                ds, tmp_final, cfg.key_exchange, max_exact=cfg.bloom_threshold
-            )
-        else:
-            deduped = dedup_latest(
-                ds, strategy=cfg.dedup_strategy, num_partitions=cfg.num_partitions
-            )
-            deduped.write_parquet(tmp_final)
+    _finalize_linked(extracted_dir, tmp_final)
     if os.path.isdir(final_dir):
         shutil.rmtree(final_dir)
     os.replace(tmp_final, final_dir)
@@ -1077,75 +894,6 @@ def _finalize_linked(extracted_dir: str, tmp_final: str) -> None:
     )
     if winners is not None:
         pq.write_table(winners, os.path.join(tmp_final, "winners.parquet"))
-
-
-# shared tree-reduce (moved to state/dupset.py; alias kept for callers/tests)
-_coalesce_reduce = coalesce_reduce
-
-
-def _finalize_split_write(
-    ds, tmp_final: str, key_exchange: str = "narrow", max_exact: int = 1_000_000
-) -> None:
-    """One streaming pass: unique-url rows written in place, dup rows (the
-    ~2%) forwarded to an exact per-url reduce. See run_finalize_phase.
-
-    The dup-url membership is built distributively (state/dupset.py): exact
-    value set below ``max_exact`` keys, Bloom filter above — a Bloom false
-    positive merely routes a single-capture url through the exact reduce,
-    which keeps it unchanged. No key list ever lands on the driver."""
-    import ray
-    import pyarrow.parquet as pq_mod
-
-    from ocr_suite_ray.stages.dedup import (
-        _local_best,
-        decode_spans,
-        encode_spans,
-    )
-
-    os.makedirs(tmp_final, exist_ok=True)
-    dup_ref = dup_key_table_ref(ds, key_exchange=key_exchange)
-    n_dups, _fp = dup_meta(dup_ref)
-    member_box = [membership_ref(dup_ref, max_exact=max_exact)]
-
-    def _split(t: pa.Table) -> pa.Table:
-        member = DupMembership(ray.get(member_box[0]))
-        is_dup = member.mask(t["url"])
-        uniq = t.filter(pc.invert(is_dup))
-        dups = t.filter(is_dup)
-        if uniq.num_rows:
-            # deterministic content-derived name => a retried task overwrites
-            # its own partial file instead of duplicating rows
-            sig = _SinkWriter._content_sig(uniq.combine_chunks())
-            path = os.path.join(tmp_final, f"uniq-{sig}.parquet")
-            pq_mod.write_table(
-                uniq,
-                path + ".tmp" + sig,
-                use_dictionary=False,
-                write_statistics=["url", "warc_ts"],
-            )
-            os.replace(path + ".tmp" + sig, path)
-        return dups
-
-    dups_ds = ds.map_batches(_split, batch_format="pyarrow")
-
-    if n_dups == 0:
-        dups_ds.count()  # consume: triggers the side-effect writes
-        return
-    # winners: per-block combiner pre-reduces each block to <= 1 row per url,
-    # then ONE coalesce task does the exact global reduce — the dup subset is
-    # tiny (dup-rate bound), so no shuffle machinery is warranted. (For a
-    # corpus whose *dup subset* alone exceeds one worker, fall back to
-    # dedup_latest(strategy="bucket") on the dup rows.)
-    pre = dups_ds.map_batches(
-        lambda t: _local_best(encode_spans(t)), batch_format="pyarrow"
-    )
-    winners = _coalesce_reduce(
-        pre,
-        _local_best,
-        decode_spans,
-    )
-    if winners is not None:
-        pq_mod.write_table(winners, os.path.join(tmp_final, "winners.parquet"))
 
 
 def run_pipeline(pages_dir: str, out_dir: str, cfg: ExtractConfig | None = None) -> dict:

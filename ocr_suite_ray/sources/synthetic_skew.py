@@ -4,7 +4,8 @@ The standard generator (``synthetic.py``) carries ~2% PDFs and ~1% giant
 DOMs — enough for correctness tests, too mild to stress the slow-lane
 isolation the reference's VisionKit lesson warns about (multi-threading
 VisionKit is pointless because it serializes, ``README.md:80-81``; the
-flagship analogue is ``ExtractConfig(split_pdf_pool=True)``). This
+flagship answers it with row-group work units, so a PDF-heavy unit delays
+only its own task). This
 module generates the stress mix: a configurable per-mille share of
 well-formed PDFs (default 20%) and giant DOMs (default 5%), same schema,
 same deterministic (i, seed) purity, same dup-capture structure.

@@ -1,14 +1,12 @@
-"""Extraction stages: actor-pool ``map_batches`` classes over Arrow batches.
+"""Extraction stage: the warm per-worker extractor over Arrow batches.
 
 Reference analogue: one warm ``TessBaseAPI`` per consumer thread, initialized
 once then fed frames (``src/recognition/provider/tesseract.cpp:59-76``,
-``src/recognition/main.cpp:153,174-177``). Here each actor holds the warm
-extractor state in ``__init__`` and processes Arrow record batches in
-``__call__``. Two pool classes mirror the two providers: ``HtmlExtractor``
-(fast lane) and ``PdfExtractor`` (slow/high-memory lane, VisionKit analogue
-``src/recognition/provider/vision_kit.cpp:71-87``); ``PageExtractor`` is the
-single-pool variant that dispatches per row (used when the input is not
-pre-split by payload kind).
+``src/recognition/main.cpp:153,174-177``). ``PageExtractor`` holds the warm
+extractor state (and the resolved OCR engine) from ``__init__`` and
+processes Arrow batches in ``__call__``, sniffing each payload and
+dispatching html/pdf per row. The fused wave
+(``pipelines/extract.py:FusedExtractWriter``) keeps one per worker process.
 
 The per-row Python work inside ``__call__`` is the recognition payload itself
 (DOM parse ≈ OCR inference) — the batch boundary stays zero-copy Arrow, and
@@ -20,16 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ocr_suite_ray.functions.extract import KIND_PDF, extract_payload
+from ocr_suite_ray.functions.extract import extract_payload
 from ocr_suite_ray.functions.html_extract import extract_html  # noqa: F401 (warm import)
-from ocr_suite_ray.functions.pdf_extract import PDF_MAGIC
 from ocr_suite_ray.schemas import EXTRACTED_SCHEMA
 
 
-
 def _result_table(batch: pa.Table, results: list[dict]) -> pa.Table:
-    """Assemble the EXTRACTED_SCHEMA table, passing through key columns and
-    any bookkeeping columns (partition_id) present on the input."""
+    """Assemble the EXTRACTED_SCHEMA table, passing through the key columns
+    of the input."""
     # spans assembled from flat arrays (ListArray.from_arrays) — ~5x faster
     # than a python list-of-dicts per row
     offsets = np.empty(len(results) + 1, dtype=np.int64)
@@ -64,33 +60,29 @@ def _result_table(batch: pa.Table, results: list[dict]) -> pa.Table:
         "n_blocks_dropped": pa.array([r["n_blocks_dropped"] for r in results], pa.int32()),
         "status": pa.array([r["status"] for r in results], pa.string()),
     }
-    names = list(EXTRACTED_SCHEMA.names)
-    if "partition_id" in batch.column_names:
-        cols["partition_id"] = batch["partition_id"]
-        names.append("partition_id")
-    return pa.table({n: cols[n] for n in names})
+    return pa.table({n: cols[n] for n in EXTRACTED_SCHEMA.names})
 
 
 def _make_ocr(ocr_engine):
-    """Resolve an ExtractConfig.ocr_engine value to a warm per-actor OCR
+    """Resolve an ExtractConfig.ocr_engine value to a warm per-worker OCR
     callable (None stays None — scanned PDFs become error rows)."""
     if ocr_engine is None:
         return None
     from ocr_suite_ray.functions.ocr import ocr_image_text, resolve_engine
 
-    engine = resolve_engine(ocr_engine)  # pin auto-> real/stub ONCE per actor
+    engine = resolve_engine(ocr_engine)  # pin auto-> real/stub ONCE per worker
     return lambda img: ocr_image_text(img, engine)
 
 
 class PageExtractor:
-    """Single-pool extractor: sniffs per row, dispatches html/pdf."""
+    """Warm extractor: sniffs each payload, dispatches html/pdf."""
 
     def __init__(self, ocr_engine: str | None = None) -> None:
         # Warm state: module-level compiled regexes are imported above; the
-        # interned dispatch closure lives here (one per actor, reused across
+        # interned dispatch closure lives here (one per worker, reused across
         # batches — the one-TessBaseAPI-per-thread analogue). The OCR engine
         # (guarded-import pytesseract or the deterministic stub) is resolved
-        # once per actor, the tesseract.cpp:59-76 warm-engine shape.
+        # once per worker, the tesseract.cpp:59-76 warm-engine shape.
         self._extract = extract_payload
         self._ocr = _make_ocr(ocr_engine)
 
@@ -102,40 +94,3 @@ class PageExtractor:
         ext = self._extract
         results = [ext(v.as_py(), ocr=self._ocr) for v in batch["html"]]
         return _result_table(batch, results)
-
-
-
-class PdfExtractor:
-    """Slow-lane pool (high-memory analogue of the VisionKit provider).
-    With an ``ocr_engine`` this pool IS the OCR lane: scanned (image-only)
-    PDFs routed here recognize via the warm per-actor engine."""
-
-    def __init__(self, ocr_engine: str | None = None) -> None:
-        self._extract = extract_payload
-        self._ocr = _make_ocr(ocr_engine)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ext = self._extract
-        results = [ext(v.as_py(), KIND_PDF, ocr=self._ocr) for v in batch["html"]]
-        return _result_table(batch, results)
-
-
-def sniff_batch(batch: pa.Table) -> pa.Table:
-    """Stateless sniff stage: adds ``payload_kind`` + ``payload_bytes``
-    columns (frame-type filter analogue, decoder.cpp:279-284). Fully
-    vectorized Arrow kernels — no per-row Python, no payload copies."""
-    import pyarrow.compute as pc
-
-    html_col = batch["html"]
-    sizes = pc.binary_length(html_col)
-    prefix = pc.binary_slice(pc.cast(html_col, pa.large_binary()), 0, 5)
-    is_pdf = pc.equal(prefix, pa.scalar(PDF_MAGIC, pa.large_binary()))
-    kinds = pc.if_else(is_pdf, pa.scalar("pdf"), pa.scalar("html"))
-    # null payloads sniff as "html" (sniff_kind(None) parity): a null kind
-    # would be dropped by BOTH split-pool lane filters — silent row loss —
-    # instead of surfacing as the error:EmptyPayload record
-    kinds = pc.fill_null(kinds, "html")
-    out = batch.append_column("payload_kind", kinds)
-    return out.append_column("payload_bytes", pc.cast(sizes, pa.int64()))
-
-

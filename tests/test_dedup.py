@@ -82,14 +82,14 @@ def test_coalesce_reduce_all_empty_returns_none(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from ocr_suite_ray.pipelines.extract import _coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce
 
     empty = pa.table({"url": pa.array([], pa.string())})
     ds = rd.from_arrow([empty, empty]).map_batches(
         lambda t: t, batch_format="pyarrow"
     )
     # combine/final would KeyError on the pre-UDF schema — must not be called
-    out = _coalesce_reduce(
+    out = coalesce_reduce(
         ds,
         lambda t: t.select(["nope"]),
         lambda t: t.select(["nope"]),

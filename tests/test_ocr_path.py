@@ -112,10 +112,10 @@ def test_scanned_flate_wrapped_image_unwraps_before_ocr():
 
 
 def test_pipeline_routes_scanned_pdf_to_ocr_pool(ray_session, tmp_path):
-    """Dispatch test: a scanned-PDF payload flows read -> sniff(pdf) ->
-    PDF slow-lane pool -> OCR engine, landing as an ok row with ocr_block
-    spans; with no engine configured the same payload is a deterministic
-    error row. Both with the dedicated split pool and the fused path."""
+    """Dispatch test: a scanned-PDF payload flows through the fused wave
+    (read -> sniff(pdf) -> warm OCR engine), landing as an ok row with
+    ocr_block spans; with no engine configured the same payload is a
+    deterministic error row."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -138,12 +138,7 @@ def test_pipeline_routes_scanned_pdf_to_ocr_pool(ray_session, tmp_path):
 
     ocr_out = str(tmp_path / "with_ocr")
     run_pipeline(
-        pages_dir,
-        ocr_out,
-        ExtractConfig(
-            wave_size=4, pool_size=2, split_pdf_pool=True,
-            pdf_pool_size=1, ocr_engine="stub",
-        ),
+        pages_dir, ocr_out, ExtractConfig(wave_size=4, pool_size=2, ocr_engine="stub")
     )
     t = pads.dataset(f"{ocr_out}/final").to_table()
     row = t.filter(
@@ -153,16 +148,6 @@ def test_pipeline_routes_scanned_pdf_to_ocr_pool(ray_session, tmp_path):
     assert row["payload_kind"] == "pdf"
     assert row["text"].startswith("[ocr-stub ")
     assert [s["kind"] for s in row["spans"]] == ["ocr_block"]
-
-    fused_out = str(tmp_path / "fused_ocr")
-    run_pipeline(
-        pages_dir, fused_out, ExtractConfig(wave_size=4, ocr_engine="stub")
-    )
-    t2 = pads.dataset(f"{fused_out}/final").to_table()
-    row2 = t2.filter(
-        pads.field("url") == "https://scan.example/doc1"
-    ).to_pylist()[0]
-    assert row2["text"] == row["text"]  # engine-identical across pool forms
 
     no_ocr = str(tmp_path / "no_ocr")
     run_pipeline(pages_dir, no_ocr, ExtractConfig(wave_size=4))

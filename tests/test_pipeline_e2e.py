@@ -1,6 +1,6 @@
 """Golden e2e: the distributed pipeline must reproduce the single-process
-reference path byte-for-byte per url, at any parallelism / wave size /
-dedup strategy (FIXTURES.md §2, BASELINE.json per-url invariant)."""
+reference path byte-for-byte per url, at any parallelism / wave size
+(FIXTURES.md §2, BASELINE.json per-url invariant)."""
 
 from __future__ import annotations
 
@@ -48,13 +48,10 @@ def test_pipeline_matches_golden(ray_session, small_corpus, golden, tmp_path):
 
 
 def test_pipeline_parallelism_invariant(ray_session, small_corpus, golden, tmp_path):
-    """Different wave size, batch size, and dedup strategy -> same bytes."""
+    """Different wave size and pool size -> same bytes."""
     pages_dir, _ = small_corpus
     out = str(tmp_path / "out2")
-    cfg = ExtractConfig(
-        wave_size=2, pool_size=3, batch_size=17, dedup_strategy="map_groups"
-    )
-    run_pipeline(pages_dir, out, cfg)
+    run_pipeline(pages_dir, out, ExtractConfig(wave_size=2, pool_size=3))
     _assert_matches_golden(_load_final(out), golden)
 
 
@@ -73,6 +70,22 @@ def test_pipeline_auto_wave_size(ray_session, small_corpus, golden, tmp_path):
     s = run_pipeline(pages_dir, out, ExtractConfig(wave_size="auto", pool_size=2))
     assert s["waves"] == 1  # 4 files, floor 32 -> single wave
     _assert_matches_golden(_load_final(out), golden)
+
+
+def test_all_empty_shards_finalize_to_empty_store(ray_session, tmp_path):
+    """Every shard has zero rows: no partition writes an is_dup= dir, and
+    the finalize must still produce an empty final/ store."""
+    from ocr_suite_ray.schemas import PAGES_SCHEMA
+
+    pages_dir = tmp_path / "pages"
+    pages_dir.mkdir()
+    for k in range(2):
+        pq.write_table(PAGES_SCHEMA.empty_table(), str(pages_dir / f"pages_{k}.parquet"))
+    out = str(tmp_path / "out")
+    s = run_pipeline(str(pages_dir), out, ExtractConfig(pool_size=2))
+    assert s["rows_extracted"] == 0
+    assert s["partitions_processed"] == 2
+    assert pads.dataset(f"{out}/final").to_table().num_rows == 0
 
 
 def test_resolve_wave_size():

@@ -401,8 +401,8 @@ def test_commit_scrubs_leftover_tmp_sink_files(
     ray_session, small_corpus, tmp_path
 ):
     """A truncated 'part-*.parquet.tmp<sig>' left in a reused pid dir by a
-    killed worker must not be promoted into extracted/ (pyarrow dataset
-    discovery in the unfused finalize fallback trips over it)."""
+    killed worker must not be promoted into extracted/ (no later run
+    would clean it up, and a plain pyarrow dataset read trips over it)."""
     import glob
     import os
 
@@ -430,7 +430,7 @@ def test_commit_scrubs_leftover_tmp_sink_files(
     )
     _commit_wave(
         tmp_dir, str(tmp_path / "out2_extracted"),
-        wave=[(0, os.path.join(pages_dir, files[0]))], wall=1.0,
+        wave=[(0, os.path.join(pages_dir, files[0]))], wall=1.0, counts=[],
     )
     promoted = os.listdir(
         os.path.join(str(tmp_path / "out2_extracted"), "partition_id=0", "is_dup=0")

@@ -109,12 +109,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sample-e4", type=int, default=None,
         help="optional deterministic url-hash subsample, parts per 10000",
     )
-    pc_.add_argument(
-        "--dup-exchange", choices=["tree", "shuffle"], default="tree",
-        help="dup-winner exchange tier: tree (default; distinct-text table "
-        "must fit one worker) or shuffle (ONE bucket exchange — the "
-        "documented successor past ~2M docs)",
-    )
 
     pp = sub.add_parser(
         "pretrain",
@@ -130,10 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     pp.add_argument("--val-pct", type=int, default=5)
     pp.add_argument("--near-dup", choices=("minhash",), default=None,
                     help="optional fuzzy dedup stage (MinHash+LSH clusters, keep min id)")
-    pp.add_argument("--dup-exchange", choices=("auto", "tree", "shuffle"),
-                    default="auto",
-                    help="winner-table exchange tier (auto size-routes: "
-                         "tree <= 2M docs, shuffle above)")
 
     pi = sub.add_parser(
         "ingest", help="convert JSONL or WARC crawl dumps to the pages layout"
@@ -252,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
                         a.curated,
                         quality_min=a.quality_min,
                         sample_e4=a.sample_e4,
-                        dup_exchange=a.dup_exchange,
                     )
                 )
             )
@@ -275,7 +264,6 @@ def main(argv: list[str] | None = None) -> int:
                         train_pct=a.train_pct,
                         val_pct=a.val_pct,
                         near_dup=a.near_dup,
-                        dup_exchange=a.dup_exchange,
                     )
                 )
             )

@@ -8,6 +8,9 @@ optionally reduced mod ``m``. Every sampling primitive — ``hash_sample``,
 place, stays run-to-run / parallelism independent, and remains
 DuckDB-expressible for the oracles
 (``CAST(('0x' || substr(md5(x), 1, 8)) AS UBIGINT)``).
+
+``key_buckets`` is the other shared rule: the bucket of a key for hash
+partitioning, a function of the key's value only.
 """
 
 from __future__ import annotations
@@ -72,3 +75,46 @@ def salted_order_keys(ids, salt: str) -> list:
         + str(d).zfill(ORDER_KEY_ID_WIDTH)
         for d in ids
     ]
+
+
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
+_NUMERIC_OBJECTS = {"boolean", "integer", "floating", "mixed-integer-float", "decimal"}
+
+
+def _value_hashes(col) -> np.ndarray:
+    """uint64 hash per value of one key column, a function of the VALUE
+    only. A pandas block turns an int64 column holding a null into float64
+    (a bool one into object), so numbers hash as their float64 value
+    (``-0.0`` as ``0.0``), instants as UTC ns, and every null spelling
+    shares one hash."""
+    import pandas as pd
+
+    if hasattr(col, "to_pandas"):  # pyarrow Array / ChunkedArray
+        col = col.to_pandas()
+    s = col if isinstance(col, pd.Series) else pd.Series(col)
+    null = s.isna().to_numpy()
+    kind = s.dtype.kind
+    if kind == "O" and pd.api.types.infer_dtype(s, skipna=True) in _NUMERIC_OBJECTS:
+        kind = "f"
+    if kind in "biuf":
+        v = s.to_numpy(np.float64, na_value=0.0) + 0.0
+    elif kind in "mM":
+        v = s.to_numpy(f"{'datetime' if kind == 'M' else 'timedelta'}64[ns]").view(np.int64)
+    else:
+        v = s.to_numpy(object)
+        v = np.where(null, "", v) if null.any() else v
+    h = pd.util.hash_array(v)
+    h[null] = _NULL_HASH
+    return h
+
+
+def key_buckets(columns, k: int) -> np.ndarray:
+    """Bucket in ``[0, k)`` per row of the key made of ``columns`` (pandas
+    Series, numpy or Arrow arrays of one length). Equal key values get
+    equal buckets whatever block layout carried them: the rule of the
+    pandas-block bucket shuffles (``grouped_reduce_c`` and kin) and the
+    keyed dup reduce's shard split."""
+    h = _value_hashes(columns[0])
+    for col in columns[1:]:
+        h = h * np.uint64(1_000_003) ^ _value_hashes(col)
+    return (h % np.uint64(k)).astype(np.int64)

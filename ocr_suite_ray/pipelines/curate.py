@@ -28,34 +28,23 @@ def run_curation(
     quality_min: int = 70,
     sample_e4: int | None = None,
     n_buckets: int = 16,
-    dup_exchange: str = "tree",
 ) -> dict:
     """Returns a summary dict: rows out + output dir.
 
-    100-TB shape — ZERO corpus shuffles in the default tier (rewritten
-    after a 10M-doc run showed the previous keyed top-1 reduce pushing
-    the full text corpus through a sort exchange, BASELINE.md round-3
-    section):
+    100-TB shape — ZERO corpus shuffles (rewritten after a 10M-doc run
+    showed the previous keyed top-1 reduce pushing the full text corpus
+    through a sort exchange, BASELINE.md round-3 section):
 
     1. ONE fused narrow pass over the ok rows builds BOTH broadcast
        artifacts (the curation_v2 fusion pattern): per-block partials
        tagged by kind — kind 1 = unigram counts for the LM, kind 0 = per
-       text-hash (count, min url) — merge in a remote TREE, and a worker
-       task splits the root into (a) the dup-winner table (hashes with
-       count > 1 only, so it is DUP-RATE bound, the flagship dup-set
-       contract) and (b) the vocab count table. Text payloads never leave
-       their read tasks.
-
-       TIER CONTRACT: the fused tree's ROOT holds one row per corpus-
-       DISTINCT text (the vocab side is vocab-bound, the winner side is
-       not) — right while the distinct-text hash+url table fits one
-       worker. Beyond that, ``dup_exchange="shuffle"`` splits pass 1:
-       the winner table routes through ONE bucket shuffle + per-bucket
-       C folds (``dupset.winner_table_ref``) where only the dup-rate-
-       bound count>1 survivors reach the final merge, and the vocab
-       keeps its (vocab-bound) tree — at the cost of a second narrow
-       read pass. Both tiers produce identical output (equivalence-
-       tested).
+       text-hash (count, min url) — merge in the keyed dup reduce
+       (``state/dupset.py``: sharded by ``s``, shard count from the
+       partials' row counts, output independent of it), whose shard roots
+       keep only vocab rows and repeated text hashes. A worker task splits
+       the result into (a) the dup-winner table (DUP-RATE bound, the
+       flagship dup-set contract) and (b) the vocab count table. Text
+       payloads never leave their read tasks.
     2. ONE enrichment + filter + write pass: quality, LM score, text hash
        per batch; keep a row iff quality passes AND (its text is unique OR
        this url IS the winner). Exact dedup (keep lexicographically-first
@@ -76,7 +65,7 @@ def run_curation(
     import ray.data as rd
 
     from ocr_suite_ray.stages.text_ops import _tokens, lm_scores, quality_score
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import keyed_dup_reduce_ds
 
     # crash recovery: a kill inside the promote's two-rename window (below)
     # leaves the previous output parked at .old with the published path
@@ -148,69 +137,26 @@ def run_curation(
             ["kind", "s", "n", "u"]
         )
 
-    if dup_exchange not in ("tree", "shuffle"):
-        raise ValueError(f"dup_exchange must be tree|shuffle, got {dup_exchange!r}")
-    combined_ref = None
-    if dup_exchange == "tree":
-        combined_ref = coalesce_reduce(
-            ok.map_batches(_partial, batch_format="pyarrow"),
-            _merge,
-            None,
-            materialize=False,
-        )
+    def _vocab_or_repeated(t: pa.Table) -> pa.Table:
+        return t.filter(pc.or_(pc.equal(t["kind"], 1), pc.greater(t["n"], 1)))
 
-    _NO_DUPS = pa.table(
-        {"s": pa.array([], pa.string()), "u": pa.array([], pa.string())}
+    combined_ref = keyed_dup_reduce_ds(
+        ok.map_batches(_partial, batch_format="pyarrow"),
+        "s",
+        _merge,
+        _vocab_or_repeated,
     )
 
-    @ray.remote
-    def _split_dups(t):
-        # an EMPTY table, not None: cached_get treats None as a cache
-        # miss, so a dedup-clean corpus would re-fetch the ref per batch
+    @ray.remote(num_returns=2)
+    def _split(t):
+        # (text hash -> winner url) of the repeated texts, vocab counts
         if t is None:
-            return _NO_DUPS
-        d = t.filter(pc.and_(pc.equal(t["kind"], 0), pc.greater(t["n"], 1)))
-        return d.select(["s", "u"]) if d.num_rows else _NO_DUPS
+            return None, None
+        dups = t.filter(pc.equal(t["kind"], 0)).select(["s", "u"])
+        vocab = t.filter(pc.equal(t["kind"], 1)).select(["s", "n"])
+        return dups, vocab.rename_columns(["tok", "n"])
 
-    @ray.remote
-    def _split_counts(t):
-        if t is None:
-            return None
-        return t.filter(pc.equal(t["kind"], 1)).select(["s", "n"]).rename_columns(
-            ["tok", "n"]
-        )
-
-    if dup_exchange == "shuffle":
-        from ocr_suite_ray.stages.text_ops import unigram_count_ref
-        from ocr_suite_ray.state.dupset import winner_table_ref
-
-        def _win_partial(t: pa.Table) -> pa.Table:
-            df = pd.DataFrame({
-                "s": [_hl.md5(x.encode()).hexdigest()
-                      for x in t["text"].to_pylist()],
-                "u": t["url"].to_pandas(),
-            })
-            g = df.groupby("s", as_index=False).agg(
-                n=("u", "size"), u=("u", "min")
-            )
-            return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-        raw_ref = winner_table_ref(
-            ok.map_batches(_win_partial, batch_format="pyarrow"),
-            key_col="s", n_col="n", win_col="u",
-        )
-        # normalize a None root to the empty table so the per-worker
-        # cache can hold it (None is a cache miss)
-        dup_ref = (
-            _split_dups.remote(None) if raw_ref is None
-            else ray.remote(lambda t: t if t is not None else _NO_DUPS).remote(raw_ref)
-        )
-        counts_ref = unigram_count_ref(ok, "text")
-    else:
-        dup_ref = _split_dups.remote(combined_ref) if combined_ref is not None else None
-        counts_ref = (
-            _split_counts.remote(combined_ref) if combined_ref is not None else None
-        )
+    dup_ref, counts_ref = _split.remote(combined_ref)
 
     # ---- pass 2: enrich + gate + dedup-filter + write ----------------
     def _final(t: pa.Table) -> pa.Table:
@@ -243,7 +189,7 @@ def run_curation(
 
         from ocr_suite_ray.stages._bcast import cached_build
 
-        w = cached_build(dup_ref, _dup_series) if dup_ref is not None else None
+        w = cached_build(dup_ref, _dup_series)
         if w is not None:
             wu = w.reindex(th).to_numpy()
             keep_dup = pd.isna(wu) | (wu == urls)

@@ -56,7 +56,7 @@ from ocr_suite_ray.stages.extract import PageExtractor
 from ocr_suite_ray.state import lineage as lin
 from ocr_suite_ray.state.dupset import (
     DupMembership,
-    dup_key_table_ref,
+    dup_key_table_ref_from_files,
     dup_meta_ref,
     load_dup_table_ref,
     membership_ref,
@@ -79,9 +79,6 @@ class ExtractConfig:
     # completion markers checkpoint each (file, row_group) unit inside the
     # running wave.
     wave_size: int | str = "auto"
-    key_exchange: str = "narrow"     # dup-url detection: narrow | shuffle
-    bloom_threshold: int = 1_000_000 # dup-set size above which a Bloom
-                                     # filter replaces the exact broadcast
     debug_dump: bool = False         # side-dump raw payloads of error rows
                                      # to out_dir/debug/ (bmp.cpp triage
                                      # analogue)
@@ -148,9 +145,7 @@ def _probe_inputs(files: list[str], out_dir: str) -> tuple[list[str], list[dict]
     return good, bad
 
 
-def _input_dup_membership(
-    files: list[str], out_dir: str, cfg: ExtractConfig
-) -> tuple[list, str]:
+def _input_dup_membership(files: list[str], out_dir: str) -> tuple[list, str]:
     """Broadcast membership of "urls captured more than once across the WHOLE
     pages input", plus the dup-set fingerprint.
 
@@ -163,8 +158,6 @@ def _input_dup_membership(
     not the payload — to each actor (each actor ray.gets the node-local copy
     once in __init__)."""
     import hashlib
-
-    import ray.data as rd
 
     inputs_fp = hashlib.sha256(
         "".join(lin.partition_fingerprint(f) for f in files).encode()
@@ -179,16 +172,10 @@ def _input_dup_membership(
             data.get("file_fps", {})
         ) == set(files):
             dup_ref = load_dup_table_ref(table_path)
-            box = [membership_ref(dup_ref, max_exact=cfg.bloom_threshold)]
+            box = [membership_ref(dup_ref)]
             return box, data["dupset_fp"], data["file_fps"]
-    if cfg.key_exchange == "narrow":
-        # per-row-group remote read tasks: skips the Dataset ramp (~1-2 s)
-        from ocr_suite_ray.state.dupset import dup_key_table_ref_from_files
-
-        dup_ref = dup_key_table_ref_from_files(files)
-    else:
-        ds = rd.read_parquet(files, columns=["url"])
-        dup_ref = dup_key_table_ref(ds, key_exchange=cfg.key_exchange)
+    # per-file remote read tasks: skips the Dataset ramp (~1-2 s)
+    dup_ref = dup_key_table_ref_from_files(files)
     # launch the meta persist, the membership build, and the per-file fp
     # tasks as ONE concurrent graph — serializing their ray.gets costs
     # 3 worker round-trips on the pre-wave critical path (a constant that,
@@ -197,7 +184,7 @@ def _input_dup_membership(
     import ray as _ray
 
     meta_ref = dup_meta_ref(dup_ref, persist_path=table_path)
-    box = [membership_ref(dup_ref, max_exact=cfg.bloom_threshold)]
+    box = [membership_ref(dup_ref)]
     fp_refs = _per_file_dup_fp_refs(files, box)
     (n_dups, dupset_fp), *fp_pairs = _ray.get([meta_ref] + fp_refs)
     file_fps = dict(fp_pairs)
@@ -379,7 +366,7 @@ def _run_extract_phase_locked(
     from ocr_suite_ray.version import extract_code_fingerprint
 
     t_dup0 = time.monotonic()
-    member_box, _global_fp, file_fps = _input_dup_membership(files, out_dir, cfg)
+    member_box, _global_fp, file_fps = _input_dup_membership(files, out_dir)
     code_fp = extract_code_fingerprint()
     # per-partition salt: this file's dup-decision fingerprint + code
     # version + the configured OCR engine — input growth elsewhere leaves

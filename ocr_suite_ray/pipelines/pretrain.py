@@ -20,8 +20,9 @@ Scale shape (the curate.py contract, extended):
 - Pass A builds the two broadcast artifacts over ONE fused narrow read:
   the dup-winner table ((clean-text hash, min url), count>1 subset only —
   dup-rate bound) and, when an eval corpus is given, its distinct-gram
-  set (eval-sized). Text never leaves the read tasks; both artifacts
-  merge in remote trees and are broadcast once.
+  set (eval-sized). Text never leaves the read tasks; the winner table
+  merges in the keyed dup reduce (``state/dupset.py``), the gram set in
+  a remote tree, and both are broadcast once.
 - Pass B streams the store exactly once more: clean, gate, dedup-filter,
   decon-filter, split-assign, write split-partitioned staging parquet.
   No shuffle — every decision is a pure function of the row + the
@@ -63,7 +64,6 @@ def run_pretrain_prep(
     decon_n: int = 5,
     gram_key: str = "exact",
     near_dup: str | None = None,
-    dup_exchange: str = "auto",
 ) -> dict:
     import pyarrow.compute as pc
     import ray
@@ -90,7 +90,7 @@ def run_pretrain_prep(
         unicode_clean,
         unigram_count_ref,
     )
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import keyed_dup_reduce_ds
 
     staging = out_dir.rstrip("/") + ".staging"
     old = out_dir.rstrip("/") + ".old"
@@ -131,50 +131,13 @@ def run_pretrain_prep(
         # dup-rate bound: only hashes seen more than once gate anything
         return t.filter(pc.greater(t["n"], 1)).select(["h", "url"])
 
-    # TIER CONTRACT (same as curate.py): the tree's root holds one row
-    # per corpus-DISTINCT cleaned text — right while that table fits one
-    # worker; "shuffle" routes the winner build through ONE bucket
-    # exchange + per-bucket C folds where only count>1 survivors merge
-    # (dupset.winner_table_ref). Identical output either way. "auto"
-    # size-routes (the minhash pattern): beyond ~2M docs the tree's
-    # serial root merge is the funnel's single largest stage (~6 min of
-    # the round-5 10x drive's 621 s was ONE task pandas-groupby-ing the
-    # corpus-distinct winner table), while the bucket exchange folds it
-    # in parallel. The count probe is metadata-only (direct parquet read).
-    if dup_exchange not in ("auto", "tree", "shuffle"):
-        raise ValueError(
-            f"dup_exchange must be auto|tree|shuffle, got {dup_exchange!r}"
-        )
-    if dup_exchange == "auto":
-        n_store = rd.read_parquet(final_dir, columns=["url"]).count()
-        dup_exchange = "tree" if n_store <= 2_000_000 else "shuffle"
-    if dup_exchange == "shuffle":
-        from ocr_suite_ray.state.dupset import winner_table_ref
-
-        def _wp(t: pa.Table) -> pa.Table:
-            g = _winner_partial(t)
-            return g.rename_columns(
-                [{"h": "s", "n": "n", "url": "u"}[c] for c in g.column_names]
-            )
-
-        raw = winner_table_ref(
-            _clean_ds().map_batches(_wp, batch_format="pyarrow"),
-            key_col="s", n_col="n", win_col="u",
-        )
-        winners_ref = (
-            None if raw is None
-            else ray.remote(
-                lambda t: t.rename_columns(["h", "url"])
-                if t is not None and t.num_rows else None
-            ).remote(raw)
-        )
-    else:
-        winners_ref = coalesce_reduce(
-            _clean_ds().map_batches(_winner_partial, batch_format="pyarrow"),
-            _winner_merge,
-            _winner_root,
-            materialize=False,
-        )
+    # sharded by text hash; each shard root keeps its repeated hashes
+    winners_ref = keyed_dup_reduce_ds(
+        _clean_ds().map_batches(_winner_partial, batch_format="pyarrow"),
+        "h",
+        _winner_merge,
+        _winner_root,
+    )
     # the eval corpus is normalized through the SAME hygiene pass as the
     # corpus being gated — decontamination over cleaned text with raw eval
     # grams would silently match nothing (case/whitespace variants)
@@ -188,9 +151,9 @@ def run_pretrain_prep(
 
     # ---- pass B: gate + dedup + decon + split, staging write --------
     def _build_winner_index(tbl: "pa.Table | None") -> "pd.Series | None":
-        # the shuffle tier's ref RESOLVES to None on a dup-free corpus
-        # (every bucket folds empty) — the common case post url-dedup;
-        # an unguarded to_pandas crashed the whole funnel there
+        # the reduce RESOLVES to None when every shard root keeps no row
+        # (a dup-free corpus split over several shards) — the common case
+        # post url-dedup; an unguarded to_pandas crashed the funnel there
         if tbl is None or not tbl.num_rows:
             return None
         df = tbl.to_pandas()
@@ -214,8 +177,7 @@ def run_pretrain_prep(
         # exact dedup keep-first-url under the broadcast winner table
         from ocr_suite_ray.stages._bcast import cached_build
 
-        winners = cached_build(winners_ref, _build_winner_index) \
-            if winners_ref is not None else None
+        winners = cached_build(winners_ref, _build_winner_index)
         if winners is not None and len(winners):
             hs = pd.Series(
                 [hashlib.md5(x.encode()).hexdigest()

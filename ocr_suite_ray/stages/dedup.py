@@ -209,7 +209,7 @@ def _dedup_partial(ds, max_exact: int = 1_000_000):
     from ocr_suite_ray.state.dupset import (
         DupMembership,
         dup_key_table_ref,
-        dup_meta,
+        dup_meta_ref,
         membership_ref,
     )
 
@@ -225,8 +225,8 @@ def _dedup_partial(ds, max_exact: int = 1_000_000):
     # object-store payload (exact set below max_exact keys, Bloom above —
     # false positives only route a url through the exact reduce, which keeps
     # a single capture unchanged); the driver sees two scalars, never keys
-    dup_ref = dup_key_table_ref(ds, key_exchange="narrow")
-    n_dups, _fp = dup_meta(dup_ref)
+    dup_ref = dup_key_table_ref(ds)
+    n_dups, _fp = ray.get(dup_meta_ref(dup_ref))
     if n_dups == 0:
         return ds
     member_box = [membership_ref(dup_ref, max_exact=max_exact)]

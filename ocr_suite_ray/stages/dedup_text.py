@@ -436,6 +436,10 @@ def cross_corpus_near_dup(
     return pairs.map_batches(_decode, batch_format="pyarrow")
 
 
+def _num_rows(t) -> int:
+    return 0 if t is None else t.num_rows
+
+
 def dup_span_scrub(
     ds,
     id_col: str = "doc_id",
@@ -499,7 +503,7 @@ def dup_span_scrub(
         _word_ngram_hash_windows,
         _word_ngram_windows,
     )
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import remote_fn
 
     if gram_key not in ("exact", "hash64"):
         raise ValueError(f"gram_key must be 'exact' or 'hash64', got {gram_key!r}")
@@ -692,16 +696,9 @@ def dup_span_scrub(
         fold_refs = _schedule_folds(meta)
         dup_ref = _merge_dups.remote(*fold_refs) if fold_refs else None
         if dup_ref is not None:
-            # Materialize on the driver and RE-PUT as a driver-owned
-            # object: a task-output ref lost during the (long) pass-2
-            # scrub would be LINEAGE-reconstructed — replaying _fold
-            # against run files this finally is about to delete. ray.put
-            # objects recover from spill, never lineage, so deleting the
-            # runs is safe. Driver transit is bounded by the same
-            # max_broadcast_rows budget the scrub broadcast already
-            # implies.
-            dup_tbl = ray.get(dup_ref)
-            n_dup = 0 if dup_tbl is None else dup_tbl.num_rows
+            # Count in a task first: an over-budget table must raise
+            # without ever reaching driver memory.
+            n_dup = ray.get(remote_fn(_num_rows).remote(dup_ref))
             if n_dup > max_broadcast_rows:
                 raise ValueError(
                     f"dup_span_scrub broadcast tier: {n_dup} dup grams "
@@ -709,12 +706,18 @@ def dup_span_scrub(
                     "gram_key='hash64' (8 B/gram) or shard the scrub by "
                     "gram bucket."
                 )
-            dup_ref = ray.put(dup_tbl) if n_dup else None
-            del dup_tbl
+            # Within budget: materialize on the driver and RE-PUT as a
+            # driver-owned object. A task-output ref lost during the
+            # (long) pass-2 scrub would be LINEAGE-reconstructed —
+            # replaying _fold against run files this finally is about to
+            # delete. ray.put objects recover from spill, never lineage,
+            # so deleting the runs is safe.
+            dup_ref = ray.put(ray.get(dup_ref)) if n_dup else None
     finally:
-        # every fold was forced to completion above (dup_tbl is their
-        # downstream), so the runs are dead weight now — and on failure
-        # they are abandoned work either way
+        # every fold was forced to completion above (the _num_rows count
+        # task and the re-put's get consume their merge), so the runs are
+        # dead weight now — and on failure they are abandoned work either
+        # way
         import shutil
 
         shutil.rmtree(run_root, ignore_errors=True)

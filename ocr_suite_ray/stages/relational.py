@@ -22,6 +22,7 @@ import pandas as pd
 import pyarrow as pa
 
 
+from ocr_suite_ray.functions.hashing import key_buckets
 from ocr_suite_ray.stages._bcast import cached_get
 
 
@@ -447,9 +448,7 @@ def count_distinct_by_group(
         return t.rename_columns([group_col, key_col])
 
     def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        df["__gbucket"] = (
-            pd.util.hash_array(df[group_col].to_numpy()) % num_buckets
-        ).astype("int64")
+        df["__gbucket"] = key_buckets([df[group_col]], num_buckets)
         return df
 
     def _count(g: pd.DataFrame) -> pd.DataFrame:
@@ -506,9 +505,7 @@ def snapshot_diff(old_ds, new_ds, key_col: str, hash_col: str, num_buckets: int 
         return _m
 
     def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        df["__dbucket"] = (
-            pd.util.hash_array(df[key_col].to_numpy()) % num_buckets
-        ).astype("int64")
+        df["__dbucket"] = key_buckets([df[key_col]], num_buckets)
         return df
 
     def _classify(g: pd.DataFrame) -> pd.DataFrame:
@@ -551,10 +548,7 @@ def grouped_reduce_c(ds, keys: list, fold, num_buckets: int = 64):
     groupby key cardinality scales with the corpus."""
 
     def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        df["__rbucket"] = (
-            pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-            % num_buckets
-        ).astype("int64")
+        df["__rbucket"] = key_buckets([df[c] for c in keys], num_buckets)
         return df
 
     def _fold(g: pd.DataFrame) -> pd.DataFrame:

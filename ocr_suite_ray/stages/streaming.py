@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import pandas as pd
 
+from ocr_suite_ray.functions.hashing import key_buckets
+
 _BUCKET_COL = "__kbucket"
 
 
@@ -80,9 +82,7 @@ def streaming_keyed_aggregate_ds(
 
     def _tag(df: pd.DataFrame) -> pd.DataFrame:
         df = df[[key_col, ts_col, value_col]].copy()
-        df[_BUCKET_COL] = (
-            pd.util.hash_array(df[key_col].to_numpy()) % num_buckets
-        ).astype("int64")
+        df[_BUCKET_COL] = key_buckets([df[key_col]], num_buckets)
         return df
 
     def _fold(group: pd.DataFrame) -> pd.DataFrame:

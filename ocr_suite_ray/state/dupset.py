@@ -6,9 +6,11 @@ capture?". Round 1 built that set with ``take_all()`` + a Python list on the
 driver — at 10^12 docs with a ~2% dup rate that is ~2x10^10 strings in driver
 heap, the pipeline's only real scale-killer. This module replaces it:
 
-1. **Count** duplicates distributively: per-block vectorized (url, n)
-   partials, merged in a remote tree (``coalesce_reduce``) or via the
-   groupby shuffle — the driver sees only ObjectRefs.
+1. **Count** duplicates distributively with the one keyed dup reduce
+   (``keyed_dup_reduce``, also curate's and pretrain's repeated-text
+   finder): per-leaf (key, n) partials hash-split into ``k`` shards that
+   each tree-merge down to their repeated keys; ``k`` comes from row
+   counts the input already carries. The driver sees only ObjectRefs.
 2. **Materialize** the dup-url table once in the object store (and
    optionally as a parquet artifact for resume) — written by a worker task.
 3. **Build** the broadcast membership structure in a worker task: an exact
@@ -17,9 +19,12 @@ heap, the pipeline's only real scale-killer. This module replaces it:
    unchanged, see ``state/bloom.py``). ``ray.put``-equivalent: the payload
    lives in the object store once; every actor/task reads the local copy.
 
-Scale contract: the merged dup-key table and the membership build are
-dup-rate bound (one worker must hold the dup keys once). Beyond that, use
-``dedup_latest(strategy="bucket")`` — the full shuffle needs no membership.
+Scale contract: a shard root holds the keys of at most 2M input rows,
+or 1/64 of them past 128M rows (a bucket's share in the former exchange
+tier; not re-driven at 10x). Only the merged dup-key table and the
+membership build are dup-rate bound (one worker must hold the dup keys
+once). Beyond that, use ``dedup_latest(strategy="bucket")`` — the full
+shuffle needs no membership.
 
 Reference analogue: the ``is_frame_processed`` semi-join / UNIQUE-index
 membership check (``src/common/database.cpp:58-60``), taken distributed.
@@ -31,13 +36,40 @@ import functools
 import hashlib
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ocr_suite_ray.functions.hashing import key_buckets
 from ocr_suite_ray.state.bloom import BloomFilter
 
 _FANIN = 32
+# keyed dup reduce sizing: one shard per _ROWS_PER_SHARD input rows, at
+# most _MAX_SHARDS. On one core sharding only shrinks the largest task
+# (forced k > 1 ran 1.8-3.5x slower at 1M-4M rows); 2M rows and the cap
+# are pretrain's former many-core size route and its exchange's buckets.
+_ROWS_PER_SHARD = 2_000_000
+_MAX_SHARDS = 64
+
+
+def _concat_live(tables) -> "pa.Table | None":
+    """The non-empty inputs as one Arrow table (``None`` if none). Pandas
+    Dataset blocks are normalized here (see ``coalesce_reduce``)."""
+    import pandas as pd
+
+    live = []
+    for t in tables:
+        if t is None:
+            continue
+        if isinstance(t, pd.DataFrame):
+            if len(t) == 0:
+                continue
+            t = pa.Table.from_pandas(t, preserve_index=False).replace_schema_metadata(None)
+        elif t.num_rows == 0:
+            continue
+        live.append(t)
+    return pa.concat_tables(live).combine_chunks() if live else None
 
 
 def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = True):
@@ -49,25 +81,10 @@ def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = 
 
     @ray.remote
     def _merge(final: bool, *tables):
-        import pandas as _pd
-
-        live = []
-        for t in tables:
-            if t is None:
-                continue
-            if isinstance(t, _pd.DataFrame):
-                # raw Dataset blocks can be pandas (map_groups output);
-                # normalize here instead of Dataset.to_arrow_refs (see
-                # coalesce_reduce for why that API is avoided)
-                if len(t) == 0:
-                    continue
-                t = pa.Table.from_pandas(t, preserve_index=False).replace_schema_metadata(None)
-            elif t.num_rows == 0:
-                continue
-            live.append(t)
-        if not live:
+        t = _concat_live(tables)
+        if t is None:
             return None
-        t = combine_fn(pa.concat_tables(live).combine_chunks())
+        t = combine_fn(t)
         return final_fn(t) if (final and final_fn is not None) else t
 
     while len(refs) > _FANIN:
@@ -96,10 +113,18 @@ def _or_empty(t, schema):
     return schema.empty_table() if schema is not None else pa.table({})
 
 
+def refs_and_rows(ds) -> tuple:
+    """The block ObjectRefs of ``ds`` and their total row count from Ray
+    Data's block metadata, executing ``ds`` once (see ``coalesce_reduce``
+    for why not ``Dataset.to_arrow_refs``)."""
+    bundles = list(ds.iter_internal_ref_bundles())
+    refs = [r for b in bundles for r in b.block_refs]
+    return refs, sum(b.num_rows() or 0 for b in bundles)
+
+
 def block_refs(ds) -> list:
-    """The block ObjectRefs of ``ds``, executing it once (see
-    ``coalesce_reduce`` for why not ``Dataset.to_arrow_refs``)."""
-    return [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    """The block ObjectRefs of ``ds`` (``refs_and_rows`` without the rows)."""
+    return refs_and_rows(ds)[0]
 
 
 def dataset_from_root(root, schema: "pa.Schema | None" = None):
@@ -141,105 +166,115 @@ def coalesce_reduce(ds, combine_fn, final_fn=None, materialize: bool = True):
     return tree_reduce_refs(block_refs(ds), combine_fn, final_fn, materialize)
 
 
-def dup_key_table_ref_from_files(
-    files: list, key_col: str = "url", num_shards: int = 16,
-):
-    """Like ``dup_key_table_ref`` (narrow path) but reads the key column with
-    plain remote tasks — one per FILE — skipping a Dataset execution's
-    ~1-2 s fixed ramp. Used by the flagship's url-only duplicate scan, where
-    that ramp was a measurable share of the wall at bench scale.
+def shard_count(rows: int) -> int:
+    """Shards of the keyed dup reduce over ``rows`` input rows."""
+    return max(1, min(_MAX_SHARDS, -(-int(rows) // _ROWS_PER_SHARD)))
 
-    Each leaf iterates its file's row groups INSIDE the task (key-column
-    reads, so worker memory stays bounded by one row group's keys, not the
-    file) — on a real cluster the file count dwarfs the core count, and
-    per-row-group task fan-out only multiplied scheduler/object overhead
-    8x while the driver serially read parquet footers to enumerate the
-    groups (~0.5 s for 16 files, on the pre-wave critical path).
 
-    The merge is HASH-SHARDED: each leaf returns ``num_shards`` per-shard
-    count tables (``num_returns``), each shard merges independently in
-    parallel, and only the n>1 SUBSETS (dup-rate bound) reach the root
-    concat+sort. Without sharding the root merge group-bys the whole key
-    universe in one task — ~1.1 s serial on a 1M-url corpus, a constant
-    that costs 3x more of the wall at 32 cpus than at 8 (the scaling tax
-    of any driver-adjacent serial stage)."""
-    import ray
+def split_by_key(t: "pa.Table | None", key_col: str, k: int) -> tuple:
+    """``t``'s rows as ``k`` tables by ``key_buckets`` of ``key_col``
+    (``None`` each when ``t`` is empty; a pandas block becomes Arrow)."""
+    t = _concat_live([t])
+    if t is None:
+        return (None,) * k
+    b = key_buckets([t[key_col]], k)
+    order = np.argsort(b, kind="stable")
+    bounds = np.searchsorted(b[order], np.arange(k + 1))
+    return tuple(t.take(order[bounds[s] : bounds[s + 1]]) for s in range(k))
 
-    k = max(1, num_shards)
 
-    @ray.remote(num_returns=k)
-    def _file_counts(path: str):
-        import pandas as pd
+def _identity(t):
+    return t
 
-        f = pq.ParquetFile(path)
-        parts = [
-            f.read_row_group(rg, columns=[key_col])
-            .group_by(key_col)
-            .aggregate([(key_col, "count")])
-            .select([key_col, f"{key_col}_count"])
-            .rename_columns([key_col, "n"])
-            for rg in range(f.metadata.num_row_groups)
-        ]
-        g = (
-            pa.concat_tables(parts)
-            .group_by(key_col)
-            .aggregate([("n", "sum")])
-            .select([key_col, "n_sum"])
-            .rename_columns([key_col, "n"])
-        )
-        if k == 1:
-            return g
-        shard = pd.util.hash_array(g[key_col].to_numpy(zero_copy_only=False)) % k
-        shard = pa.array(shard, pa.int64())
-        return tuple(g.filter(pc.equal(shard, s)) for s in range(k))
 
-    leaf_refs = [_file_counts.remote(path) for path in files]
-
-    def _combine(t: pa.Table) -> pa.Table:
-        g = t.group_by(key_col).aggregate([("n", "sum")])
-        return g.select([key_col, "n_sum"]).rename_columns([key_col, "n"])
-
-    def _dups_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["n"], 1)).select([key_col])
-
-    def _sorted_final(t: pa.Table) -> pa.Table:
-        return t.take(pc.sort_indices(t, sort_keys=[(key_col, "ascending")]))
-
+def keyed_dup_reduce(partials: list, rows: int, key_col: str, combine_fn,
+                     keep_fn, final_fn=None):
+    """The keyed dup reduce: ObjectRef to ``final_fn`` over the ``keep_fn``
+    rows of the merged per-key ``partials`` (refs to tables; ``None`` if
+    all are empty). ``k = shard_count(rows)``, ``rows`` being the input
+    rows behind the partials. For ``k > 1`` one task per partial splits it
+    by ``key_col``; each shard tree-merges with ``combine_fn``
+    (associative) and runs ``keep_fn`` at its root, so only dup-rate-bound
+    rows leave it; one root concatenates the disjoint shards and runs
+    ``final_fn``."""
+    k = shard_count(rows)
     if k == 1:
-        return tree_reduce_refs(
-            leaf_refs,
-            _combine,
-            lambda t: _sorted_final(_dups_only(t)),
-            materialize=False,
-        )
-    # per-shard parallel merges (each holds 1/k of the key universe), then
-    # one trivial root over the dup subsets
-    shard_refs = [
-        tree_reduce_refs(
-            [leaf[s] for leaf in leaf_refs],
-            _combine,
-            _dups_only,
-            materialize=False,
-        )
+        root = keep_fn if final_fn is None else lambda t: final_fn(keep_fn(t))
+        return tree_reduce_refs(partials, combine_fn, root, materialize=False)
+    split = remote_fn(split_by_key).options(num_returns=k)
+    parts = [split.remote(p, key_col, k) for p in partials]
+    roots = [
+        tree_reduce_refs([p[s] for p in parts], combine_fn, keep_fn, False)
         for s in range(k)
     ]
-    return tree_reduce_refs(shard_refs, lambda t: t, _sorted_final, materialize=False)
+    return tree_reduce_refs(roots, _identity, final_fn, materialize=False)
+
+
+def keyed_dup_reduce_ds(ds, key_col: str, combine_fn, keep_fn, final_fn=None):
+    """``keyed_dup_reduce`` over ``ds``'s blocks of per-key partials, the
+    rows being the blocks' Ray Data row counts."""
+    return keyed_dup_reduce(*refs_and_rows(ds), key_col, combine_fn, keep_fn, final_fn)
+
+
+def _key_counts(t: pa.Table, key_col: str) -> pa.Table:
+    g = t.select([key_col]).group_by(key_col).aggregate([(key_col, "count")])
+    return g.select([key_col, f"{key_col}_count"]).rename_columns([key_col, "n"])
+
+
+def _sum_counts(t: pa.Table, key_col: str) -> pa.Table:
+    g = t.group_by(key_col).aggregate([("n", "sum")])
+    return g.select([key_col, "n_sum"]).rename_columns([key_col, "n"])
+
+
+def _repeated_keys(t: pa.Table, key_col: str) -> pa.Table:
+    return t.filter(pc.greater(t["n"], 1)).select([key_col])
+
+
+def _sorted_by(t: pa.Table, key_col: str) -> pa.Table:
+    return t.take(pc.sort_indices(t, sort_keys=[(key_col, "ascending")]))
+
+
+def _dup_key_fns(key_col: str) -> tuple:
+    """(combine, keep, final) of the dup-key reduce over (key, n) counts."""
+    fns = (_sum_counts, _repeated_keys, _sorted_by)
+    return tuple(functools.partial(f, key_col=key_col) for f in fns)
+
+
+def _file_key_counts(path: str, key_col: str) -> tuple:
+    # row group by row group: the task holds one row group's keys at a time
+    f = pq.ParquetFile(path)
+    parts = [
+        _key_counts(f.read_row_group(rg, columns=[key_col]), key_col)
+        for rg in range(f.metadata.num_row_groups)
+    ]
+    return _sum_counts(pa.concat_tables(parts), key_col), f.metadata.num_rows
+
+
+def dup_key_table_ref_from_files(files: list, key_col: str = "url"):
+    """Like ``dup_key_table_ref`` (narrow path) but one plain remote task per
+    FILE reads and counts the key column, skipping a Dataset execution's
+    ~1-2 s fixed ramp (a measurable share of the flagship's wall at bench
+    scale). Each leaf also returns its file's footer row count, which
+    sizes the reduce once every leaf is done."""
+    import ray
+
+    leaf = remote_fn(_file_key_counts).options(num_returns=2)
+    leaves = [leaf.remote(path, key_col) for path in files]
+    rows = sum(ray.get([n for _, n in leaves]))
+    return keyed_dup_reduce(
+        [c for c, _ in leaves], rows, key_col, *_dup_key_fns(key_col)
+    )
 
 
 def dup_key_table_ref(ds, key_col: str = "url", key_exchange: str = "narrow"):
     """ObjectRef[pa.Table | None]: the sorted table of keys appearing more
     than once in ``ds[key_col]``. Never materialized on the driver.
 
-    ``narrow`` (default): per-block value-counts + remote tree merge — total
-    exchange is the key column only; right whenever the distinct keys of the
-    corpus fit one worker. ``shuffle``: groupby-aggregate for corpora beyond
-    that — all-to-all on the key column only; the dup SUBSET (output) is
-    still merged to one ref (dup-rate bound, see module contract)."""
-    import ray
-
-    def _sorted(t: pa.Table) -> pa.Table:
-        return t.take(pc.sort_indices(t, sort_keys=[(key_col, "ascending")]))
-
+    ``narrow`` (default): per-block value counts through the keyed dup
+    reduce — total exchange is the key column only. ``shuffle``: one
+    bucket shuffle with per-bucket C sums (the grouped paragraph dedup's
+    count exchange); the dup SUBSET (output) is still merged to one ref
+    (dup-rate bound, see module contract)."""
     if key_exchange == "shuffle":
         # bucket shuffle + within-bucket C sum, not Dataset.aggregate —
         # the AggregateFn reduce walks corpus-cardinality keys in Python
@@ -247,14 +282,11 @@ def dup_key_table_ref(ds, key_col: str = "url", key_exchange: str = "narrow"):
         from ocr_suite_ray.stages.relational import grouped_reduce_c
 
         def _vc(t: pa.Table) -> pa.Table:
-            g = t.select([key_col]).group_by(key_col).aggregate([(key_col, "count")])
-            return g.select([key_col, f"{key_col}_count"]).rename_columns(
-                [key_col, "__n"]
-            )
+            return _key_counts(t, key_col).rename_columns([key_col, "__n"])
 
         def _fold(df):
-            # dropna=False: the per-block Arrow combiner keeps null keys,
-            # and the tree tier counts them — the shuffle tier must agree
+            # dropna=False: the Arrow group_by of the narrow reduce keeps
+            # a null-key group — the shuffle must agree
             return df.groupby(key_col, as_index=False, dropna=False)["__n"].sum()
 
         counts = grouped_reduce_c(
@@ -268,23 +300,14 @@ def dup_key_table_ref(ds, key_col: str = "url", key_exchange: str = "narrow"):
             ),
             batch_format="pyarrow",
         )
-        return coalesce_reduce(dups, lambda t: t, _sorted, materialize=False)
-
-    def _local_counts(t: pa.Table) -> pa.Table:
-        g = t.select([key_col]).group_by(key_col).aggregate([(key_col, "count")])
-        return g.select([key_col, f"{key_col}_count"]).rename_columns(
-            [key_col, "n"]
+        return coalesce_reduce(
+            dups, _identity, _dup_key_fns(key_col)[2], materialize=False
         )
 
-    def _combine(t: pa.Table) -> pa.Table:
-        g = t.group_by(key_col).aggregate([("n", "sum")])
-        return g.select([key_col, "n_sum"]).rename_columns([key_col, "n"])
-
-    def _final(t: pa.Table) -> pa.Table:
-        return _sorted(t.filter(pc.greater(t["n"], 1)).select([key_col]))
-
-    partials = ds.map_batches(_local_counts, batch_format="pyarrow")
-    return coalesce_reduce(partials, _combine, _final, materialize=False)
+    partials = ds.map_batches(
+        functools.partial(_key_counts, key_col=key_col), batch_format="pyarrow"
+    )
+    return keyed_dup_reduce_ds(partials, key_col, *_dup_key_fns(key_col))
 
 
 def dup_meta_ref(dup_ref, key_col: str = "url", persist_path: str | None = None):
@@ -308,13 +331,6 @@ def dup_meta_ref(dup_ref, key_col: str = "url", persist_path: str | None = None)
         return t.num_rows, fp
 
     return _meta.remote(persist_path, dup_ref)
-
-
-def dup_meta(dup_ref, key_col: str = "url", persist_path: str | None = None):
-    """Blocking form of :func:`dup_meta_ref`."""
-    import ray
-
-    return ray.get(dup_meta_ref(dup_ref, key_col=key_col, persist_path=persist_path))
 
 
 def load_dup_table_ref(path: str):
@@ -363,15 +379,6 @@ class DupMembership:
         self._exact = data if kind == "exact" else None
         self._bloom = data if kind == "bloom" else None
 
-    @classmethod
-    def from_keys(cls, keys, max_exact: int = 1_000_000) -> "DupMembership":
-        """Driver-side ctor for small inputs and tests."""
-        if len(keys) <= max_exact:
-            return cls(("exact", pa.array(list(keys), pa.string())))
-        bf = BloomFilter(len(keys), fpp=0.01)
-        bf.add_many(keys)
-        return cls(("bloom", bf))
-
     def flags(self, key_col) -> pa.Array:
         """0/1 int32 per row."""
         n = len(key_col)
@@ -385,37 +392,3 @@ class DupMembership:
     def mask(self, key_col) -> pa.Array:
         """boolean per row (for filter())."""
         return pc.cast(self.flags(key_col), pa.bool_())
-
-def winner_table_ref(partials_ds, key_col: str = "s", n_col: str = "n",
-                     win_col: str = "u", num_buckets: int = 64):
-    """ObjectRef[pa.Table | None]: the (key, winner) table of keys whose
-    total count exceeds 1, from per-block partial tables ``(key_col,
-    n_col, win_col)`` (count + min-winner per block-distinct key).
-
-    The SHUFFLE-tier sibling of the fused tree reduce used by
-    curate/pretrain pass 1: a tree funnels one row per corpus-DISTINCT
-    key into a single root task — corpus-cardinality, the exact overflow
-    the grouped paragraph dedup hit at 10x (BASELINE.md round-4) — while
-    this path bucket-shuffles the partials (ONE exchange, rows spread
-    over ``num_buckets`` folds), folds each bucket in C (sum count, min
-    winner), filters to count>1 INSIDE the bucket, and only the
-    dup-rate-bound survivors reach the final coalesce. Use it whenever
-    the corpus's distinct-key table may exceed one worker."""
-    import pandas as pd
-
-    from ocr_suite_ray.stages.relational import grouped_reduce_c
-
-    def _fold(g: pd.DataFrame) -> pd.DataFrame:
-        # dropna=False: the tree-tier sibling (Arrow group_by) keeps null
-        # keys; the shuffle tier must agree (dup_key_table_ref rule)
-        out = g.groupby(key_col, as_index=False, dropna=False).agg(
-            **{n_col: (n_col, "sum"), win_col: (win_col, "min")}
-        )
-        return out[out[n_col] > 1][[key_col, win_col]]
-
-    dups = grouped_reduce_c(partials_ds, [key_col], _fold, num_buckets=num_buckets)
-
-    def _merge(t: pa.Table) -> pa.Table:
-        return t  # buckets are disjoint: concat only
-
-    return coalesce_reduce(dups, _merge, None, materialize=False)

@@ -27,17 +27,24 @@ def test_bloom_serialization_and_merge():
     assert "x" in m and "y" in m and "z" not in m
 
 
-def test_pipeline_identical_with_bloom_membership(ray_session, small_corpus, tmp_path):
+def test_pipeline_identical_with_bloom_membership(
+    ray_session, small_corpus, tmp_path, monkeypatch
+):
+    import functools
+
+    from ocr_suite_ray.pipelines import extract
     from ocr_suite_ray.pipelines.extract import ExtractConfig, run_pipeline
 
     pages_dir, _ = small_corpus
     exact_out, bloom_out = str(tmp_path / "exact"), str(tmp_path / "bloom")
-    run_pipeline(pages_dir, exact_out, ExtractConfig(wave_size=4, pool_size=2))
-    run_pipeline(
-        pages_dir,
-        bloom_out,
-        ExtractConfig(wave_size=4, pool_size=2, bloom_threshold=0),  # force Bloom
+    cfg = ExtractConfig(wave_size=4, pool_size=2)
+    run_pipeline(pages_dir, exact_out, cfg)
+    # force the Bloom payload: no dup set is small enough for the exact one
+    monkeypatch.setattr(
+        extract, "membership_ref",
+        functools.partial(extract.membership_ref, max_exact=0),
     )
+    run_pipeline(pages_dir, bloom_out, cfg)
     a = pads.dataset(f"{exact_out}/final").to_table().sort_by("url")
     b = pads.dataset(f"{bloom_out}/final").to_table().sort_by("url")
     assert a.equals(b)

@@ -43,10 +43,14 @@ def test_curation_matches_sequential_oracle(ray_session, small_corpus, tmp_path)
     assert s["rows_out"] == len(df)
 
 
-def test_dup_exchange_tiers_equivalent(tmp_path):
+def test_multi_shard_dup_reduce_identical(tmp_path, monkeypatch):
+    """Pass 1's keyed dup reduce at its default shard count (one shard at
+    this size) and forced to many shards must give byte-identical curated
+    output: shards split the text hashes and the vocab disjointly."""
     import pyarrow.dataset as pads
 
     from ocr_suite_ray.pipelines.curate import run_curation
+    from ocr_suite_ray.state import dupset
 
     final = "/tmp/ocs_curate_test/out/final"
     import os
@@ -60,10 +64,11 @@ def test_dup_exchange_tiers_equivalent(tmp_path):
         generate_corpus("/tmp/ocs_curate_test/pages", 400, seed=5, n_files=2)
         run_pipeline("/tmp/ocs_curate_test/pages", "/tmp/ocs_curate_test/out",
                      ExtractConfig(wave_size=2, pool_size=4))
-    a = str(tmp_path / "tree")
-    b = str(tmp_path / "shuf")
-    run_curation(final, a, dup_exchange="tree")
-    run_curation(final, b, dup_exchange="shuffle")
+    a = str(tmp_path / "default")
+    b = str(tmp_path / "sharded")
+    run_curation(final, a)
+    monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 1)  # k = _MAX_SHARDS
+    run_curation(final, b)
     ta = pads.dataset(a, partitioning="hive").to_table().sort_by("url")
     tb = pads.dataset(b, partitioning="hive").to_table().sort_by("url")
     assert ta.equals(tb)

@@ -110,13 +110,14 @@ def test_partial_with_bloom_membership_matches_exact(ray_session):
     assert sorted(exact, key=key) == sorted(bloom, key=key)
 
 
-def test_sharded_dup_key_merge_matches_single(ray_session, tmp_path):
-    """The hash-sharded parallel merge in dup_key_table_ref_from_files must
-    return byte-identical dup-key tables to the single-root merge (k=1)."""
+def test_sharded_dup_key_merge_matches_single(ray_session, tmp_path, monkeypatch):
+    """The hash-sharded merge in dup_key_table_ref_from_files must return
+    byte-identical dup-key tables at k = 1 (one tree) and k = 16 (forced
+    by shrinking the rows-per-shard constant the driver sizes k from)."""
     import ray
     import pyarrow.parquet as pq
 
-    from ocr_suite_ray.state.dupset import dup_key_table_ref_from_files
+    from ocr_suite_ray.state import dupset
 
     urls = [f"https://ex.com/{i % 37}" for i in range(500)] + [
         f"https://uniq.com/{i}" for i in range(200)
@@ -128,7 +129,44 @@ def test_sharded_dup_key_merge_matches_single(ray_session, tmp_path):
         pq.write_table(t, p, row_group_size=50)
         files.append(p)
 
-    single = ray.get(dup_key_table_ref_from_files(files, num_shards=1))
-    sharded = ray.get(dup_key_table_ref_from_files(files, num_shards=16))
+    assert dupset.shard_count(700) == 1
+    single = ray.get(dupset.dup_key_table_ref_from_files(files))
+    monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 44)
+    assert dupset.shard_count(700) == 16
+    sharded = ray.get(dupset.dup_key_table_ref_from_files(files))
     assert single.equals(sharded)
     assert single.num_rows == 37  # every i%37 url appears >1 times
+
+
+def test_multi_shard_dup_keys_int_key_with_null_block(
+    ray_session, tmp_path, monkeypatch
+):
+    """Int keys where some leaves also hold a null: such a leaf's key
+    column converts to float64 on its way to the shard hash, and a
+    dtype-shaped hash put 5 and 5.0 in different shards, so neither shard
+    saw a count above 1 and the duplicate was lost. The bucket must depend
+    on the key value only. Each partial (a Dataset block, a file of a file
+    scan) is split on its own, so null-free partials and partials with a
+    null hash the two layouts in different tasks."""
+    import ray
+    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from ocr_suite_ray.state import dupset
+
+    plain = pa.table({"k": pa.array(range(40), pa.int64())})
+    with_null = pa.table({"k": pa.array(list(range(40)) + [None], pa.int64())})
+    monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 8)
+    ds = rd.from_arrow([plain] * 32 + [with_null] * 32)
+    assert dupset.shard_count(ds.count()) > 1
+    got = ray.get(dupset.dup_key_table_ref(ds, key_col="k"))
+    # only the int keys are asserted: whether a repeated null key is a dup
+    # is a separate question from where a key value is sharded
+    assert [k for k in got["k"].to_pylist() if k is not None] == list(range(40))
+
+    files = [str(tmp_path / "plain.parquet"), str(tmp_path / "null.parquet")]
+    pq.write_table(plain, files[0])
+    pq.write_table(pa.table({"k": pa.array([5, None], pa.int64())}), files[1])
+    assert dupset.shard_count(42) > 1
+    got = ray.get(dupset.dup_key_table_ref_from_files(files, key_col="k"))
+    assert got["k"].to_pylist() == [5]

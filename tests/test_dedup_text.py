@@ -1014,6 +1014,41 @@ def test_dup_span_scrub_hash64_parity_and_guard(ray_session):
         dup_span_scrub(ds, gram_key="bogus")
 
 
+def test_dup_span_scrub_budget_raises_before_driver_fetch(
+    ray_session, monkeypatch
+):
+    """The max_broadcast_rows guard exists so an oversized dup-gram table
+    never reaches the driver: the count runs in a task and the raise comes
+    first. Spies on the driver's ray.get — no fetched value may be the
+    merged gram table."""
+    import pyarrow as pa
+    import pytest
+    import ray
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.dedup_text import dup_span_scrub
+
+    text = "alpha beta gamma delta epsilon zeta eta theta"
+    ds = rd.from_arrow(pa.table({"doc_id": [1, 2, 3], "text": [text] * 3}))
+    fetched = []
+    real_get = ray.get
+
+    def spy(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        for v in out if isinstance(out, list) else [out]:
+            if isinstance(v, pa.Table) and "gram" in v.column_names:
+                fetched.append(v.num_rows)
+        return out
+
+    monkeypatch.setattr(ray, "get", spy)
+    with pytest.raises(ValueError, match="row budget"):
+        dup_span_scrub(ds, k=3, max_broadcast_rows=1)
+    assert fetched == []
+    # within budget the table is fetched once, to be re-put driver-owned
+    got = dup_span_scrub(ds, k=3).to_pandas()
+    assert fetched == [6] and (got["n_removed"] == 8).all()
+
+
 def test_extract_hosts_rules():
     """Port strip, www strip, lowercasing, tld label, unparseable -> ''."""
     import pyarrow as pa

@@ -144,25 +144,34 @@ def test_pct_validation_and_stale_old_recovery(tmp_path):
     assert not os.path.exists(out + ".old")
 
 
-def test_pretrain_dup_exchange_tiers_equivalent(tmp_path):
+def test_pretrain_multi_shard_identical(tmp_path, monkeypatch):
+    """Pass A's keyed dup reduce at one shard and forced to several must
+    give identical clean output."""
+    from ocr_suite_ray.state import dupset
+
     texts = [_gopher_ok_text("a"), _gopher_ok_text("a"), _gopher_ok_text("b")]
     store = _fake_store(str(tmp_path / "final"), texts)
     s1 = run_pretrain_prep(store, str(tmp_path / "t"), seq_len=16,
-                           seqs_per_shard=4, dup_exchange="tree")
+                           seqs_per_shard=4)
+    monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 1)  # k = 3 partial rows
     s2 = run_pretrain_prep(store, str(tmp_path / "s"), seq_len=16,
-                           seqs_per_shard=4, dup_exchange="shuffle")
+                           seqs_per_shard=4)
     assert s1["docs_kept"] == s2["docs_kept"] == 2  # dup pair collapsed
     t1 = pads.dataset(str(tmp_path / "t/clean"), partitioning="hive").to_table().sort_by("url")
     t2 = pads.dataset(str(tmp_path / "s/clean"), partitioning="hive").to_table().sort_by("url")
     assert t1.equals(t2)
 
 
-def test_pretrain_shuffle_tier_dup_free_corpus(tmp_path):
-    """The shuffle tier's winner ref RESOLVES to None on a corpus with no
-    exact-duplicate cleaned texts (the common case post url-dedup) — must
-    run clean, not crash building the winner index."""
+def test_pretrain_multi_shard_dup_free_corpus(tmp_path, monkeypatch):
+    """With several shards and no exact-duplicate cleaned texts (the
+    common case post url-dedup) every shard root keeps no row and the
+    winner ref RESOLVES to None — must run clean, not crash building the
+    winner index."""
+    from ocr_suite_ray.state import dupset
+
     texts = [_gopher_ok_text("a"), _gopher_ok_text("b"), _gopher_ok_text("c")]
     store = _fake_store(str(tmp_path / "final"), texts)
+    monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 1)
     s = run_pretrain_prep(store, str(tmp_path / "out"), seq_len=16,
-                          seqs_per_shard=4, dup_exchange="shuffle")
+                          seqs_per_shard=4)
     assert s["docs_kept"] == 3

@@ -238,3 +238,83 @@ def test_asof_join_preserves_large_int64_ids(ray_session):
     ).to_pandas()
     assert out["lid"].dtype == np.int64
     assert sorted(out["lid"]) == sorted([big, 2**53 + 3])
+
+
+def test_bucket_shuffles_independent_of_null_layout(ray_session):
+    """An int64 key block holding a null reaches the bucket hash as
+    float64 (pandas has no nullable int in a plain block), so a hash over
+    the block's dtype sent 5 and 5.0 to different buckets: ``distinct``
+    returned 80 rows for 41 distinct keys, ``count_distinct_by_group`` 80
+    groups, ``snapshot_diff`` 79 changes for one added key and the keyed
+    streaming fold split keys in two."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.relational import distinct, snapshot_diff
+    from ocr_suite_ray.stages.streaming import streaming_keyed_aggregate_ds
+
+    ints = pa.array(range(40), pa.int64())
+    with_null = pa.array(list(range(40)) + [None], pa.int64())
+    got = distinct(
+        rd.from_arrow([pa.table({"k": ints}), pa.table({"k": with_null})]), ["k"]
+    ).to_pandas()
+    assert len(got) == 41
+    assert sorted(got["k"].dropna().astype("int64")) == list(range(40))
+
+    blocks = [
+        pa.table({"g": ints, "k": ints}),
+        pa.table({"g": with_null, "k": pa.array(range(100, 141), pa.int64())}),
+    ]
+    got = count_distinct_by_group(rd.from_arrow(blocks), "g", "k", out_col="n")
+    assert sorted(got.to_pandas()["n"]) == [1] + [2] * 40
+
+    old = rd.from_arrow(pa.table({"key": ints, "h": ["a"] * 40}))
+    new = rd.from_arrow(pa.table({"key": with_null, "h": ["a"] * 41}))
+    assert len(snapshot_diff(old, new, "key", "h").to_pandas()) == 1
+
+    ts = pa.array(range(81), pa.int64())
+    folded = streaming_keyed_aggregate_ds(
+        rd.from_arrow([
+            pa.table({"key": ints, "ts": ts[:40], "v": [1.0] * 40}),
+            pa.table({"key": with_null, "ts": ts[40:], "v": [1.0] * 41}),
+        ]),
+        "key", "ts", "v",
+    ).to_pandas()
+    assert sorted(folded["n"]) == [1] + [2] * 40
+
+
+def test_key_buckets_depend_on_value_only():
+    """The shared bucket hash: the same key value lands in the same bucket
+    whatever the carrier (int64 / float64 / nullable / Arrow / object
+    column), and nulls of every spelling share one bucket."""
+    import pyarrow as pa
+
+    from ocr_suite_ray.functions.hashing import key_buckets
+
+    k = 16
+    ints = key_buckets([pd.Series([0, 5, -3, 7], dtype="int64")], k)
+    for col in (
+        pd.Series([0.0, 5.0, -3.0, 7.0]),
+        pd.Series([-0.0, 5.0, -3.0, 7.0, np.nan]).iloc[:4],
+        pd.Series([0, 5, -3, 7], dtype="Int64"),
+        pd.Series([0, 5, -3, 7], dtype=object),
+        pa.array([0, 5, -3, 7], pa.int32()),
+        pa.chunked_array([[0, 5], [-3, 7]], pa.int64()),
+    ):
+        assert list(key_buckets([col], k)) == list(ints)
+    nulls = [
+        pd.Series([None, "a"], dtype=object),
+        pd.Series([np.nan, 1.0]),
+        pd.Series([pd.NA, 1], dtype="Int64"),
+        pa.array([None, 1], pa.int64()),
+    ]
+    assert len({int(key_buckets([c], k)[0]) for c in nulls}) == 1
+    s = ["https://a.example/1", "https://b.example/2"]
+    assert list(key_buckets([pd.Series(s)], k)) == list(
+        key_buckets([pa.array(s, pa.large_string())], k)
+    )
+    # multi-column keys combine per-column value hashes
+    two = key_buckets([pd.Series([1, 2]), pd.Series(["x", "y"])], k)
+    assert list(two) == list(
+        key_buckets([pa.array([1.0, 2.0]), pa.array(["x", "y"])], k)
+    )

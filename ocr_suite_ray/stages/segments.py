@@ -14,12 +14,13 @@ Scale shapes (all three ops):
 - The corpus is never shuffled. Segmentation, filtering and reassembly are
   per-batch Arrow kernels (one ``split_pattern`` + zero-copy list
   re-windowing — no per-row Python).
-- The only global state is a tree-reduced artifact broadcast once:
-  the duplicated-segment table (dup-rate bound) for
-  :func:`paragraph_dedup`, the df-admitted term table (vocab bound) for
-  :func:`term_postings`. Both ride :func:`~ocr_suite_ray.state.dupset.
-  coalesce_reduce` / :func:`~ocr_suite_ray.state.dupset.dup_key_table_ref`
-  and the per-worker ``cached_get`` broadcast cache.
+- The only global state is a reduced artifact broadcast once: the
+  duplicated-segment table (dup-rate bound) for :func:`paragraph_dedup`
+  and :func:`grouped_paragraph_dedup`, from the keyed dup reduce
+  (:func:`~ocr_suite_ray.state.dupset.keyed_dup_reduce`), and the
+  df-admitted term table (vocab bound) for :func:`term_postings`, from
+  :func:`~ocr_suite_ray.state.dupset.coalesce_reduce`. Each is read
+  through the per-worker ``cached_build`` broadcast cache.
 - :func:`segment_dedup_within` needs no global state at all — embarrassingly
   parallel.
 
@@ -331,61 +332,55 @@ def segment_dedup_within(ds, id_col: str = "doc_id", text_col: str = "text", w: 
     return ds.map_batches(_clean, batch_format="pyarrow")
 
 
+def _seg_counts(keys) -> pa.Table:
+    """(seg, n) per distinct segment key of one block: uint64 digests
+    (numpy) or segment strings (Arrow)."""
+    import pyarrow.compute as pc
+
+    if isinstance(keys, np.ndarray):
+        vals, counts = np.unique(keys, return_counts=True)
+        return pa.table(
+            {
+                "seg": pa.array(vals, pa.uint64()),
+                "n": pa.array(counts.astype(np.int64), pa.int64()),
+            }
+        )
+    vc = pc.value_counts(keys)
+    return pa.table(
+        {"seg": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
+    )
+
+
+def _dup_seg_ref(ds, seg_keys):
+    """ObjectRef[pa.Table | None] of the segment keys (``seg_keys(t)`` per
+    block) occurring >= 2 times, SORTED: per-block (seg, n) partials through
+    the keyed dup reduce, ``k`` from the partials' block row counts. The
+    hash64 probe ``searchsorted``s a zero-copy plasma view of this table
+    instead of each worker sorting its own copy."""
+    from ocr_suite_ray.state.dupset import dup_key_fns, keyed_dup_reduce_ds
+
+    partials = ds.map_batches(
+        lambda t: _seg_counts(seg_keys(t)), batch_format="pyarrow"
+    )
+    return keyed_dup_reduce_ds(partials, "seg", *dup_key_fns("seg"))
+
+
 def dup_segment_ref(ds, text_col: str = "text", w: int = 3, key: str = "text"):
     """ObjectRef[pa.Table | None] of segments occurring >= 2 times across
     the corpus (total occurrences, within-doc repeats included — CC-Net's
-    "duplicated paragraph"). Per-block vectorized (seg, n) partials merged
-    in a remote tree; the driver holds only the ref. The root table is
-    dup-rate bound; the merge's key universe is segment-distinct bound —
-    beyond one worker, explode to a narrow seg column and take
-    ``dup_key_table_ref(key_exchange="shuffle")`` instead.
+    "duplicated paragraph"), sorted. Per-block vectorized (seg, n) partials
+    merged by the keyed dup reduce (``state/dupset.py``); the driver holds
+    only the ref. The root table is dup-rate bound; each shard root holds
+    the distinct segments of its share of the partial rows.
 
     ``key="text"`` (default, the sf-oracle path) keys on the exact segment
     string; ``key="hash64"`` keys on :func:`seg_hash_table`'s 64-bit
     digest — 8 bytes per distinct segment instead of the string (the 10x
     worst-case dup table shrinks ~400 MB -> ~119 MB) and no segment-string
     materialization anywhere."""
-    from ocr_suite_ray.state.dupset import coalesce_reduce
-
-    def _partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if key == "hash64":
-            _row, _len, _flat, hashes = seg_hash_table(t[text_col], w)
-            vals, counts = np.unique(hashes, return_counts=True)
-            return pa.table(
-                {
-                    "seg": pa.array(vals, pa.uint64()),
-                    "n": pa.array(counts.astype(np.int64), pa.int64()),
-                }
-            )
-        _row, _within, segs = segment_table(t[text_col], w)
-        vc = pc.value_counts(segs)
-        return pa.table(
-            {"seg": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
-        )
-
-    def _combine(t: pa.Table) -> pa.Table:
-        g = t.group_by("seg").aggregate([("n", "sum")])
-        # rebuild by NAME (mlfit pattern): group_by's key/aggregate
-        # column order has changed across pyarrow releases
-        return pa.table({"seg": g["seg"], "n": g["n_sum"]})
-
-    def _final(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        out = t.filter(pc.greater_equal(t["n"], 2)).select(["seg"])
-        if key == "hash64":
-            # emit SORTED so every probe-side worker can searchsorted a
-            # zero-copy plasma view instead of each sorting its own copy
-            # (the dup_span_scrub sorted-probe lesson)
-            vals = np.sort(out["seg"].combine_chunks().to_numpy(zero_copy_only=False))
-            return pa.table({"seg": pa.array(vals, pa.uint64())})
-        return out
-
-    partials = ds.map_batches(_partial, batch_format="pyarrow")
-    return coalesce_reduce(partials, _combine, _final, materialize=False)
-
+    if key == "hash64":
+        return _dup_seg_ref(ds, lambda t: seg_hash_table(t[text_col], w)[3])
+    return _dup_seg_ref(ds, lambda t: segment_table(t[text_col], w)[2])
 
 
 def _probe_clean_stage(ds, ref, id_col, key, hash_rows, comp_rows):
@@ -484,8 +479,6 @@ def paragraph_dedup(
     at 2e8 corpus segments that's ~1e-3 expected collisions corpus-wide.
     ``key="text"`` (default) stays exact and is the SQL-oracle twin.
     """
-    from ocr_suite_ray.stages._bcast import cached_build
-
     if key not in ("text", "hash64"):
         raise ValueError(f"key must be 'text' or 'hash64', got {key!r}")
     ref = dup_segment_ref(ds, text_col, w, key=key)
@@ -512,8 +505,6 @@ def grouped_paragraph_dedup(
     text_col: str = "text",
     w: int = 3,
     key: str = "text",
-    count_exchange: str = "tree",
-    num_shards: int = 1,
 ):
     """Within-GROUP duplicated-segment removal — the per-host boilerplate
     scrub (RefinedWeb / CC-Net practice: nav bars, footers and cookie
@@ -525,46 +516,23 @@ def grouped_paragraph_dedup(
     repetition is template noise. Emits ``(id_col, text_clean,
     n_removed)``.
 
-    Same two-pass shape as :func:`paragraph_dedup`: pass 1 tree-reduces
-    the (group, segment) dup table and broadcasts it once; pass 2
-    streams. Scale contract (explicit): the count's key universe is
-    (group, segment)-DISTINCT — up to ``n_groups`` × larger than the
-    global segment-distinct universe when the same segment recurs under
-    many groups, so it can exceed :func:`paragraph_dedup`'s on gram-dense
-    corpora (on real web text the within-host dup table is host-template
-    bound, far below the global one). ``count_exchange`` picks the count
-    topology: ``"tree"`` (default) is the coalesce tree — right when the
-    combined-key universe fits one worker; ``"shuffle"`` (hash64 only)
-    re-routes the count through ``dup_key_table_ref``'s bucket-shuffled
-    C fold — per-block pre-counted partials, ONE hash exchange, no
-    corpus-cardinality table ever concentrates in a single reduce task
-    (the 10x gram-dense drive overflowed Arrow's int32 offsets in the
-    tree's root merge; the shuffle tier completes — see BASELINE.md).
-    Both produce the identical dup set (equivalence-tested).
-    ``key="hash64"`` combines the
-    segment digest with a 64-bit group hash (same collision argument as
-    paragraph_dedup: ~n^2/2^65) and probes a pre-sorted digest view —
-    no composite string is ever materialized. ``key="text"`` keys on the
-    length-prefixed composite ``len(group) + US + group + US + segment``
-    (injective even when group or tokens contain US) and is the
-    SQL-oracle twin path.
+    Same two-pass shape as :func:`paragraph_dedup`: pass 1 counts the
+    (group, segment) keys and broadcasts the dup table once; pass 2
+    streams. The count's key universe is (group, segment)-DISTINCT — up
+    to ``n_groups`` × the global segment-distinct one — and the keyed dup
+    reduce spreads it over ``k`` hash shards sized from the partials' row
+    counts, so no single merge holds more than a shard's share of it.
+    ``key="hash64"`` combines the segment digest with a 64-bit group hash
+    (same collision argument as paragraph_dedup: ~n^2/2^65) and probes a
+    pre-sorted digest view — no composite string is ever materialized.
+    ``key="text"`` keys on the length-prefixed composite ``len(group) +
+    US + group + US + segment`` (injective even when group or tokens
+    contain US) and is the SQL-oracle twin path.
     """
     import pyarrow.compute as pc
 
-    from ocr_suite_ray.stages._bcast import cached_build
-    from ocr_suite_ray.state.dupset import coalesce_reduce
-
     if key not in ("text", "hash64"):
         raise ValueError(f"key must be 'text' or 'hash64', got {key!r}")
-    if count_exchange not in ("tree", "shuffle"):
-        raise ValueError(
-            f"count_exchange must be 'tree' or 'shuffle', got {count_exchange!r}"
-        )
-    if count_exchange == "shuffle" and key != "hash64":
-        raise ValueError(
-            "count_exchange='shuffle' requires key='hash64' (the digest "
-            "exchange; exact strings are the sf-oracle tree path)"
-        )
 
     SEP = "\x1f"
     M = np.uint64(0x9E3779B97F4A7C15)
@@ -606,110 +574,15 @@ def grouped_paragraph_dedup(
         comp = pc.binary_join_element_wise(gtake, segs, SEP)
         return row_of, segs, comp
 
-    def _partial(t: pa.Table) -> pa.Table:
-        if key == "hash64":
-            combined = _hash_rows(t)[3]
-            vals, counts = np.unique(combined, return_counts=True)
-            return pa.table(
-                {
-                    "seg": pa.array(vals, pa.uint64()),
-                    "n": pa.array(counts.astype(np.int64), pa.int64()),
-                }
-            )
-        comp = _composite_rows(t)[2]
-        vc = pc.value_counts(comp)
-        return pa.table(
-            {"seg": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
-        )
-
-    def _combine(t: pa.Table) -> pa.Table:
-        g = t.group_by("seg").aggregate([("n", "sum")])
-        # rebuild by NAME (mlfit pattern): group_by's key/aggregate
-        # column order has changed across pyarrow releases
-        return pa.table({"seg": g["seg"], "n": g["n_sum"]})
-
-    def _final(t: pa.Table) -> pa.Table:
-        out = t.filter(pc.greater_equal(t["n"], 2)).select(["seg"])
-        if key == "hash64":
-            vals = np.sort(
-                out["seg"].combine_chunks().to_numpy(zero_copy_only=False)
-            )
-            return pa.table({"seg": pa.array(vals, pa.uint64())})
-        return out
-
-    if count_exchange == "shuffle":
-        import ray
-
-        from ocr_suite_ray.state.dupset import dup_key_table_ref
-
-        # dup_key_table_ref's shuffle tier pre-counts per block before
-        # the exchange, so the wire carries block-distinct (seg, n) rows
-        # and its root emits a SORTED dup table (the searchsorted-probe
-        # contract below). num_shards > 1 partitions the DIGEST space
-        # (high bits — independent of the fold's low-bit bucket key) and
-        # runs one count exchange per shard, SERIALLY: peak transient
-        # shuffle spill divides by num_shards at the cost of extra
-        # digest passes over the corpus — the dup_span_scrub disk trade
-        # (the unsharded exchange filled this box's disk at 10x on the
-        # gram-dense synthetic corpus; see BASELINE.md).
-        S = max(1, int(num_shards))
-        shard_refs = []
-        for s in range(S):
-
-            def _occ(t: pa.Table, _s: int = s) -> pa.Table:
-                h = _hash_rows(t)[3]
-                if S > 1:
-                    h = h[(h >> np.uint64(32)) % np.uint64(S) == np.uint64(_s)]
-                return pa.table({"seg": pa.array(h, pa.uint64())})
-
-            r = dup_key_table_ref(
-                ds.map_batches(_occ, batch_format="pyarrow"),
-                key_col="seg",
-                key_exchange="shuffle",
-            )
-            if r is not None:
-                ray.wait([r])  # force this shard's exchange before the next
-            shard_refs.append(r)
-
-        if S == 1:
-            ref = shard_refs[0]
-        else:
-
-            @ray.remote
-            def _merge_shards(*tbls):
-                live = [t for t in tbls if t is not None and t.num_rows]
-                if not live:
-                    return None
-                # shards partition the digest space: parts are disjoint,
-                # one concat + sort, no dedup needed
-                vals = np.concatenate(
-                    [
-                        t["seg"].combine_chunks().to_numpy(zero_copy_only=False)
-                        for t in live
-                    ]
-                )
-                return pa.table({"seg": pa.array(np.sort(vals), pa.uint64())})
-
-            ref = (
-                _merge_shards.remote(*shard_refs)
-                if any(r is not None for r in shard_refs)
-                else None
-            )
-    else:
-        partials = ds.map_batches(_partial, batch_format="pyarrow")
-        ref = coalesce_reduce(partials, _combine, _final, materialize=False)
-
     if key == "hash64":
+        ref = _dup_seg_ref(ds, lambda t: _hash_rows(t)[3])
         return _probe_clean_stage(
             ds, ref, id_col, "hash64",
             hash_rows=_hash_rows, comp_rows=None,
         )
-
-    def _rows(t: pa.Table):
-        return _composite_rows(t)
-
+    ref = _dup_seg_ref(ds, lambda t: _composite_rows(t)[2])
     return _probe_clean_stage(ds, ref, id_col, "text",
-                              hash_rows=None, comp_rows=_rows)
+                              hash_rows=None, comp_rows=_composite_rows)
 
 
 def admitted_term_ref(ds, text_col: str, df_lo: int, df_hi: int):

@@ -8,9 +8,10 @@ heap, the pipeline's only real scale-killer. This module replaces it:
 
 1. **Count** duplicates distributively with the one keyed dup reduce
    (``keyed_dup_reduce``, also curate's and pretrain's repeated-text
-   finder): per-leaf (key, n) partials hash-split into ``k`` shards that
-   each tree-merge down to their repeated keys; ``k`` comes from row
-   counts the input already carries. The driver sees only ObjectRefs.
+   finder and paragraph dedup's repeated-segment finder): per-leaf
+   (key, n) partials hash-split into ``k`` shards that each tree-merge
+   down to their repeated keys; ``k`` comes from row counts the input
+   already carries. The driver sees only ObjectRefs.
 2. **Materialize** the dup-url table once in the object store (and
    optionally as a parquet artifact for resume) — written by a worker task.
 3. **Build** the broadcast membership structure in a worker task: an exact
@@ -217,6 +218,9 @@ def keyed_dup_reduce_ds(ds, key_col: str, combine_fn, keep_fn, final_fn=None):
 
 
 def _key_counts(t: pa.Table, key_col: str) -> pa.Table:
+    """(key, n) per distinct key of ``t``. A null key is never a dup:
+    Arrow's ``count`` skips nulls, so its group totals n = 0 (as every
+    ``dedup_latest`` strategy keeps each null-url row)."""
     g = t.select([key_col]).group_by(key_col).aggregate([(key_col, "count")])
     return g.select([key_col, f"{key_col}_count"]).rename_columns([key_col, "n"])
 
@@ -234,8 +238,9 @@ def _sorted_by(t: pa.Table, key_col: str) -> pa.Table:
     return t.take(pc.sort_indices(t, sort_keys=[(key_col, "ascending")]))
 
 
-def _dup_key_fns(key_col: str) -> tuple:
-    """(combine, keep, final) of the dup-key reduce over (key, n) counts."""
+def dup_key_fns(key_col: str) -> tuple:
+    """(combine, keep, final) of the dup-key reduce over (key, n) counts:
+    sum ``n`` per key, keep the keys with ``n > 1``, sort them."""
     fns = (_sum_counts, _repeated_keys, _sorted_by)
     return tuple(functools.partial(f, key_col=key_col) for f in fns)
 
@@ -262,52 +267,19 @@ def dup_key_table_ref_from_files(files: list, key_col: str = "url"):
     leaves = [leaf.remote(path, key_col) for path in files]
     rows = sum(ray.get([n for _, n in leaves]))
     return keyed_dup_reduce(
-        [c for c, _ in leaves], rows, key_col, *_dup_key_fns(key_col)
+        [c for c, _ in leaves], rows, key_col, *dup_key_fns(key_col)
     )
 
 
-def dup_key_table_ref(ds, key_col: str = "url", key_exchange: str = "narrow"):
+def dup_key_table_ref(ds, key_col: str = "url"):
     """ObjectRef[pa.Table | None]: the sorted table of keys appearing more
-    than once in ``ds[key_col]``. Never materialized on the driver.
-
-    ``narrow`` (default): per-block value counts through the keyed dup
-    reduce — total exchange is the key column only. ``shuffle``: one
-    bucket shuffle with per-bucket C sums (the grouped paragraph dedup's
-    count exchange); the dup SUBSET (output) is still merged to one ref
-    (dup-rate bound, see module contract)."""
-    if key_exchange == "shuffle":
-        # bucket shuffle + within-bucket C sum, not Dataset.aggregate —
-        # the AggregateFn reduce walks corpus-cardinality keys in Python
-        # (BASELINE.md round-3 C-reduce audit)
-        from ocr_suite_ray.stages.relational import grouped_reduce_c
-
-        def _vc(t: pa.Table) -> pa.Table:
-            return _key_counts(t, key_col).rename_columns([key_col, "__n"])
-
-        def _fold(df):
-            # dropna=False: the Arrow group_by of the narrow reduce keeps
-            # a null-key group — the shuffle must agree
-            return df.groupby(key_col, as_index=False, dropna=False)["__n"].sum()
-
-        counts = grouped_reduce_c(
-            ds.map_batches(_vc, batch_format="pyarrow"), [key_col], _fold
-        )
-        dups = counts.map_batches(
-            lambda t: (
-                t.filter(pc.greater(t["__n"], 1)).select([key_col])
-                if "__n" in t.column_names
-                else t.select([key_col])
-            ),
-            batch_format="pyarrow",
-        )
-        return coalesce_reduce(
-            dups, _identity, _dup_key_fns(key_col)[2], materialize=False
-        )
-
+    than once in ``ds[key_col]``, by per-block value counts through the
+    keyed dup reduce (the exchange carries the key column only). Never
+    materialized on the driver."""
     partials = ds.map_batches(
         functools.partial(_key_counts, key_col=key_col), batch_format="pyarrow"
     )
-    return keyed_dup_reduce_ds(partials, key_col, *_dup_key_fns(key_col))
+    return keyed_dup_reduce_ds(partials, key_col, *dup_key_fns(key_col))
 
 
 def dup_meta_ref(dup_ref, key_col: str = "url", persist_path: str | None = None):

@@ -170,3 +170,42 @@ def test_multi_shard_dup_keys_int_key_with_null_block(
     assert dupset.shard_count(42) > 1
     got = ray.get(dupset.dup_key_table_ref_from_files(files, key_col="k"))
     assert got["k"].to_pylist() == [5]
+
+
+def test_null_key_is_never_a_dup(ray_session, tmp_path):
+    """A null key is never a dup: neither dup-key scan returns one, and
+    every dedup_latest strategy keeps each null-url capture."""
+    import ray
+    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from ocr_suite_ray.state.dupset import (
+        dup_key_table_ref,
+        dup_key_table_ref_from_files,
+    )
+
+    rows = ROWS + [(None, 10, "null a"), (None, 20, "null b")]
+    table = _extracted_table(rows)
+    blocks = [table.slice(0, 4), table.slice(4)]
+    got = ray.get(dup_key_table_ref(rd.from_arrow(blocks)))
+    assert got["url"].to_pylist() == ["u1", "u3"]
+
+    files = []
+    for part in range(2):
+        p = str(tmp_path / f"urls_{part}.parquet")
+        pq.write_table(table.select(["url"]).slice(part * 4, 4), p)
+        files.append(p)
+    got = ray.get(dup_key_table_ref_from_files(files))
+    assert got["url"].to_pylist() == ["u1", "u3"]
+
+    def run(strategy):
+        out = dedup_latest(
+            rd.from_arrow(table), strategy=strategy, num_partitions=4
+        ).take_all()
+        return sorted(
+            (r["url"] or "", r["text"], r["url"] is None) for r in out
+        )
+
+    outs = [run(s) for s in ("partial", "bucket", "map_groups")]
+    assert outs[0] == outs[1] == outs[2]
+    assert [t for _, t, null in outs[0] if null] == ["null a", "null b"]

@@ -432,82 +432,108 @@ def test_grouped_paragraph_dedup_rejects_unknown_key(ray_session):
         grouped_paragraph_dedup(docs, "source", key="bloom")
 
 
-def test_grouped_paragraph_dedup_shuffle_exchange_equivalent(ray_session):
-    """count_exchange='shuffle' (bucket-fold count topology) produces the
-    tree tier's exact output; non-hash64 shuffle is rejected."""
-    import pytest
+def _dedup_docs(seed, vocab, n, n_sources, n_blocks):
     import ray.data as rd
 
-    from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
-
-    rng = __import__("numpy").random.RandomState(11)
-    vocab = ["aa", "bb", "cc"]
+    rng = np.random.RandomState(seed)
     texts = [
-        " ".join(rng.choice(vocab, size=rng.randint(1, 10)))
-        for _ in range(50)
+        " ".join(rng.choice(vocab, size=rng.randint(1, 10))) for _ in range(n)
     ]
-    docs = rd.from_arrow(
+    return rd.from_arrow(
         pa.table(
             {
-                "doc_id": list(range(50)),
-                "source": [f"s{i % 4}" for i in range(50)],
+                "doc_id": list(range(n)),
+                "source": [f"s{i % n_sources}" for i in range(n)],
                 "text": texts,
             }
         )
-    )
-    key = lambda r: r["doc_id"]
-    tree = sorted(
-        grouped_paragraph_dedup(docs, "source", w=2, key="hash64").take_all(),
-        key=key,
-    )
-    shuf = sorted(
-        grouped_paragraph_dedup(
-            docs, "source", w=2, key="hash64", count_exchange="shuffle"
-        ).take_all(),
-        key=key,
-    )
-    assert tree == shuf
-    with pytest.raises(ValueError, match="shuffle"):
-        grouped_paragraph_dedup(docs, "source", count_exchange="shuffle")
-    with pytest.raises(ValueError, match="count_exchange"):
-        grouped_paragraph_dedup(docs, "source", count_exchange="narrow")
+    ).repartition(n_blocks)
 
 
-def test_grouped_paragraph_dedup_sharded_shuffle_equivalent(ray_session):
-    import ray.data as rd
+def _outputs_by_rows_per_shard(monkeypatch, run, rows_per_shard):
+    """``run()``'s rows sorted by doc_id under each ``_ROWS_PER_SHARD``, and
+    the shard count ``k`` each run's keyed dup reduce picked (the patches
+    are undone on return)."""
+    from ocr_suite_ray.state import dupset
 
-    from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
-
-    rng = __import__("numpy").random.RandomState(3)
-    vocab = ["aa", "bb", "cc", "dd"]
-    texts = [
-        " ".join(rng.choice(vocab, size=rng.randint(1, 10)))
-        for _ in range(40)
-    ]
-    docs = rd.from_arrow(
-        pa.table(
-            {
-                "doc_id": list(range(40)),
-                "source": [f"s{i % 3}" for i in range(40)],
-                "text": texts,
-            }
+    ks, outs = [], []
+    shard_count = dupset.shard_count
+    with monkeypatch.context() as m:
+        m.setattr(
+            dupset, "shard_count", lambda rows: ks.append(shard_count(rows)) or ks[-1]
         )
+        for r in rows_per_shard:
+            m.setattr(dupset, "_ROWS_PER_SHARD", r)
+            outs.append(sorted(run().take_all(), key=lambda row: row["doc_id"]))
+    return outs, ks
+
+
+@pytest.mark.parametrize("key", ["text", "hash64"])
+@pytest.mark.parametrize("grouped", [False, True], ids=["plain", "grouped"])
+def test_paragraph_dedup_multi_shard_identical(
+    ray_session, monkeypatch, grouped, key
+):
+    """The keyed dup reduce's forced k > 1 (hash-sharded segment counts)
+    gives the default single tree's exact output, for paragraph_dedup and
+    grouped_paragraph_dedup on both keys."""
+    from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
+    from ocr_suite_ray.state import dupset
+
+    docs = _dedup_docs(11, ["aa", "bb", "cc", "dd"], 50, 4, 5)
+
+    def run():
+        if grouped:
+            return grouped_paragraph_dedup(docs, "source", w=2, key=key)
+        return paragraph_dedup(docs, w=2, key=key)
+
+    # ~100 partial rows (<= 20 distinct segments per block): k ~ 5, so
+    # every shard holds some keys
+    (single, sharded), ks = _outputs_by_rows_per_shard(
+        monkeypatch, run, [dupset._ROWS_PER_SHARD, 20]
     )
-    key = lambda r: r["doc_id"]
-    one = sorted(
-        grouped_paragraph_dedup(
-            docs, "source", w=2, key="hash64", count_exchange="shuffle"
-        ).take_all(),
-        key=key,
+    assert ks[0] == 1 and ks[1] > 1
+    assert any(r["n_removed"] for r in single)
+    assert single == sharded
+
+
+def test_grouped_paragraph_dedup_shuffle_exchange_equivalent(
+    ray_session, monkeypatch
+):
+    """On a 3-word vocabulary a few (group, segment) keys carry most
+    partial rows; the hash-sharded count exchange (k > 1) still gives the
+    single tree's exact output on both keys."""
+    from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
+    from ocr_suite_ray.state import dupset
+
+    docs = _dedup_docs(11, ["aa", "bb", "cc"], 50, 4, 5)
+    for key in ("text", "hash64"):
+        (single, sharded), ks = _outputs_by_rows_per_shard(
+            monkeypatch,
+            lambda: grouped_paragraph_dedup(docs, "source", w=2, key=key),
+            [dupset._ROWS_PER_SHARD, 10],
+        )
+        assert ks[0] == 1 and ks[1] > 1
+        assert any(r["n_removed"] for r in single)
+        assert single == sharded
+
+
+def test_grouped_paragraph_dedup_sharded_shuffle_equivalent(
+    ray_session, monkeypatch
+):
+    """The output does not depend on the shard count: k = 1, a few shards,
+    and the 64-shard cap (most shards empty) all agree."""
+    from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
+    from ocr_suite_ray.state import dupset
+
+    docs = _dedup_docs(3, ["aa", "bb", "cc", "dd"], 40, 3, 4)
+    outs, ks = _outputs_by_rows_per_shard(
+        monkeypatch,
+        lambda: grouped_paragraph_dedup(docs, "source", w=2, key="hash64"),
+        [dupset._ROWS_PER_SHARD, 40, 1],
     )
-    sharded = sorted(
-        grouped_paragraph_dedup(
-            docs, "source", w=2, key="hash64", count_exchange="shuffle",
-            num_shards=4,
-        ).take_all(),
-        key=key,
-    )
-    assert one == sharded
+    assert ks[0] == 1 < ks[1] < ks[2] == dupset._MAX_SHARDS
+    assert any(r["n_removed"] for r in outs[0])
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_c4_line_signals_null_text_row():

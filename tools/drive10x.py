@@ -264,7 +264,8 @@ def drive_badword():
 
 def drive_host_paragraph():
     """Per-host boilerplate scrub over the store's REAL urls (hash64 tier:
-    digest-only (host, segment) dup table, sorted-probe scrub)."""
+    digest-only (host, segment) dup table from the keyed dup reduce, whose
+    shard count follows the partials' row counts; sorted-probe scrub)."""
     import pyarrow as pa
 
     from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
@@ -275,12 +276,7 @@ def drive_host_paragraph():
         return t.append_column("host", host)
 
     ds = store_docs().map_batches(_h, batch_format="pyarrow")
-    return _consume(
-        grouped_paragraph_dedup(
-            ds, "host", w=3, key="hash64", count_exchange="shuffle",
-            num_shards=4,
-        )
-    )
+    return _consume(grouped_paragraph_dedup(ds, "host", w=3, key="hash64"))
 
 
 def drive_decon(gram_key: str = "exact"):

@@ -20,7 +20,7 @@ completion markers, `_load_unit_markers`); `pending_partitions` prunes
 everything already committed — the watermark+seek resume of the reference
 (``src/common/database.cpp:110-150``, ``src/ffmpeg/decoder.cpp:178-211``)
 at row-group granularity. Partitions are salted with the fingerprint of
-their OWN dup-membership decisions (`_per_file_dup_fp_refs`), so growing the
+their OWN dup-membership decisions (`_files_dup_fp`), so growing the
 input re-extracts only partitions whose flags actually changed.
 
 The wave is ONE operator because Ray cannot fuse a task-based ReadParquet
@@ -56,10 +56,14 @@ from ocr_suite_ray.stages.extract import PageExtractor
 from ocr_suite_ray.state import lineage as lin
 from ocr_suite_ray.state.dupset import (
     DupMembership,
+    cluster_cpus,
+    cpu_chunks,
     dup_key_table_ref_from_files,
     dup_meta_ref,
     load_dup_table_ref,
     membership_ref,
+    remote_fn,
+    tree_reduce_refs,
 )
 
 PAGES_COLUMNS = ["url", "warc_ts", "html"]  # prune at the read: text/lang unused
@@ -107,30 +111,31 @@ def list_pages_files(pages_dir: str) -> list[str]:
     )
 
 
-def _probe_inputs(files: list[str], out_dir: str) -> tuple[list[str], list[dict]]:
+def _probe_chunk(chunk: list[str]) -> list:
+    out = []
+    for path in chunk:
+        try:
+            md = pq.read_metadata(path)
+            names = set(md.schema.to_arrow_schema().names)
+            missing = [c for c in PAGES_COLUMNS if c not in names]
+            if missing:
+                raise ValueError(f"missing columns {missing}")
+            out.append((path, None))
+        except Exception as exc:  # corrupt footer, truncation, schema
+            out.append((path, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _probe_inputs(files: list[str], out_dir: str) -> tuple[list[str], list[dict], int]:
     """Parallel footer/schema probe: returns (readable files, quarantined
-    [{path, error}]). One metadata read per file, chunked into remote tasks
-    (64 files/task) so 100k-shard inputs stay one short scheduling round;
-    the probe reads only the parquet footer, never payload bytes."""
+    [{path, error}], tasks started). One metadata read per file, one remote
+    task per chunk of files (``cpu_chunks``); the probe reads only the
+    parquet footer, never payload bytes."""
     import ray
 
-    @ray.remote
-    def _probe_chunk(chunk: list[str]) -> list:
-        out = []
-        for path in chunk:
-            try:
-                md = pq.read_metadata(path)
-                names = set(md.schema.to_arrow_schema().names)
-                missing = [c for c in PAGES_COLUMNS if c not in names]
-                if missing:
-                    raise ValueError(f"missing columns {missing}")
-                out.append((path, None))
-            except Exception as exc:  # corrupt footer, truncation, schema
-                out.append((path, f"{type(exc).__name__}: {exc}"))
-        return out
-
-    chunks = [files[i : i + 64] for i in range(0, len(files), 64)]
-    results = [r for rs in ray.get([_probe_chunk.remote(c) for c in chunks]) for r in rs]
+    chunks = cpu_chunks(files)
+    probes = [remote_fn(_probe_chunk).remote(c) for c in chunks]
+    results = [r for rs in ray.get(probes) for r in rs]
     good = [p for p, err in results if err is None]
     bad = [{"path": p, "error": err} for p, err in results if err is not None]
     qpath = os.path.join(out_dir, "quarantine.jsonl")
@@ -142,12 +147,14 @@ def _probe_inputs(files: list[str], out_dir: str) -> tuple[list[str], list[dict]
         os.replace(qpath + ".tmp", qpath)
     elif os.path.exists(qpath):
         os.remove(qpath)  # all previously-bad files fixed
-    return good, bad
+    return good, bad, len(chunks)
 
 
-def _input_dup_membership(files: list[str], out_dir: str) -> tuple[list, str]:
+def _input_dup_membership(files: list[str], out_dir: str) -> tuple:
     """Broadcast membership of "urls captured more than once across the WHOLE
-    pages input", plus the dup-set fingerprint.
+    pages input", the dup-set fingerprint, the per-file fingerprints and the
+    tasks the url scan and the per-file fingerprints started (none when the
+    cached artifact is reused).
 
     Everything key-shaped stays off the driver (see ``state/dupset.py``): the
     column-pruned url scan is counted distributively, the dup-url table is
@@ -173,9 +180,10 @@ def _input_dup_membership(files: list[str], out_dir: str) -> tuple[list, str]:
         ) == set(files):
             dup_ref = load_dup_table_ref(table_path)
             box = [membership_ref(dup_ref)]
-            return box, data["dupset_fp"], data["file_fps"]
-    # per-file remote read tasks: skips the Dataset ramp (~1-2 s)
-    dup_ref = dup_key_table_ref_from_files(files)
+            return box, data["dupset_fp"], data["file_fps"], {"dup_scan": 0, "dup_fp": 0}
+    # one remote read task per chunk of files: skips the Dataset ramp (~1-2 s)
+    chunks = cpu_chunks(files)
+    dup_ref = dup_key_table_ref_from_files(chunks)
     # launch the meta persist, the membership build, and the per-file fp
     # tasks as ONE concurrent graph — serializing their ray.gets costs
     # 3 worker round-trips on the pre-wave critical path (a constant that,
@@ -185,9 +193,9 @@ def _input_dup_membership(files: list[str], out_dir: str) -> tuple[list, str]:
 
     meta_ref = dup_meta_ref(dup_ref, persist_path=table_path)
     box = [membership_ref(dup_ref)]
-    fp_refs = _per_file_dup_fp_refs(files, box)
+    fp_refs = [remote_fn(_files_dup_fp).remote(c, box[0]) for c in chunks]
     (n_dups, dupset_fp), *fp_pairs = _ray.get([meta_ref] + fp_refs)
-    file_fps = dict(fp_pairs)
+    file_fps = dict(p for pairs in fp_pairs for p in pairs)
     with open(meta_path + ".tmp", "w") as fh:
         json.dump(
             {
@@ -199,33 +207,30 @@ def _input_dup_membership(files: list[str], out_dir: str) -> tuple[list, str]:
             fh,
         )
     os.replace(meta_path + ".tmp", meta_path)
-    return box, dupset_fp, file_fps
+    tasks = len(chunks)
+    return box, dupset_fp, file_fps, {"dup_scan": tasks, "dup_fp": tasks}
 
 
-def _per_file_dup_fp_refs(files: list[str], member_box: list) -> list:
-    """Refs to (path, fingerprint of THIS file's dup-membership decisions) —
-    the per-partition share of the global dup state. A partition's extract
-    output depends on the dup set only through the is_dup flags of ITS OWN
-    urls, so salting each partition with the fingerprint of its flagged-url
-    set (computed with the SAME membership payload the tag step uses —
-    Bloom false positives included, they change the output layout too) makes
-    input growth invalidate exactly the partitions whose flags changed,
-    instead of the whole store. Narrow: one url-column read per file, all
-    remote, driver sees only hashes. Returned unresolved so the caller can
-    overlap them with sibling tasks in one ray.get."""
-    import ray
+def _files_dup_fp(paths: list[str], payload) -> list:
+    """[(path, fingerprint of THIS file's dup-membership decisions)] for a
+    chunk of files — the per-partition share of the global dup state. A
+    partition's extract output depends on the dup set only through the
+    is_dup flags of ITS OWN urls, so salting each partition with the
+    fingerprint of its flagged-url set (computed with the SAME membership
+    payload the tag step uses — Bloom false positives included, they
+    change the output layout too) makes input growth invalidate exactly
+    the partitions whose flags changed, instead of the whole store.
+    Narrow: one url-column read per file; the driver sees only hashes."""
+    import hashlib
 
-    @ray.remote
-    def _fp(path: str, payload):
-        import hashlib
-
-        member = DupMembership(payload)
+    member = DupMembership(payload)
+    out = []
+    for path in paths:
         t = pq.ParquetFile(path).read(columns=["url"])
         flagged = t.filter(member.mask(t["url"]))["url"].to_pylist()
         h = hashlib.sha256("\n".join(sorted(set(flagged))).encode())
-        return path, h.hexdigest()[:16]
-
-    return [_fp.remote(p, member_box[0]) for p in files]
+        out.append((path, h.hexdigest()[:16]))
+    return out
 
 
 def _commit_wave(
@@ -347,8 +352,10 @@ def _run_extract_phase_locked(
     if not files:
         raise FileNotFoundError(f"no pages parquet under {pages_dir}")
     quarantined: list[dict] = []
+    # tasks each fan-out started, next to the CPU count they were sized by
+    fanout = {"cpus": cluster_cpus(), "probe": 0}
     if cfg.on_bad_input == "quarantine":
-        files, quarantined = _probe_inputs(files, out_dir)
+        files, quarantined, fanout["probe"] = _probe_inputs(files, out_dir)
         if not files:
             raise FileNotFoundError(
                 f"all pages parquet under {pages_dir} quarantined: "
@@ -366,7 +373,7 @@ def _run_extract_phase_locked(
     from ocr_suite_ray.version import extract_code_fingerprint
 
     t_dup0 = time.monotonic()
-    member_box, _global_fp, file_fps = _input_dup_membership(files, out_dir)
+    member_box, _global_fp, file_fps, dup_tasks = _input_dup_membership(files, out_dir)
     code_fp = extract_code_fingerprint()
     # per-partition salt: this file's dup-decision fingerprint + code
     # version + the configured OCR engine — input growth elsewhere leaves
@@ -396,6 +403,7 @@ def _run_extract_phase_locked(
         "dup_scan_s": round(dup_scan_s, 3),
         "waves_s": 0.0,
         "commit_s": 0.0,
+        "fanout": {**fanout, **dup_tasks},
     }
     if quarantined:
         summary["quarantined"] = quarantined
@@ -792,95 +800,88 @@ def _run_finalize_phase_locked(out_dir: str) -> dict:
     tmp_final = final_dir + ".tmp"
     if os.path.isdir(tmp_final):
         shutil.rmtree(tmp_final)
-    _finalize_linked(extracted_dir, tmp_final)
+    tasks = _finalize_linked(extracted_dir, tmp_final)
     if os.path.isdir(final_dir):
         shutil.rmtree(final_dir)
     os.replace(tmp_final, final_dir)
     with open(manifest_path + ".tmp", "w") as fh:
         json.dump({"done_fingerprint": fp}, fh)
     os.replace(manifest_path + ".tmp", manifest_path)
-    return {"skipped": False, "done_fingerprint": fp}
+    return {
+        "skipped": False,
+        "done_fingerprint": fp,
+        "fanout": {"cpus": cluster_cpus(), **tasks},
+    }
 
 
-def _link_partition_task(pfull: str, pid: str, tmp_final: str) -> list[str]:
-    """Per-partition finalize unit (runs as a remote task): hardlink this
-    partition's unique-url files into the final store and return its dup
-    file paths. Pure filesystem metadata work — safe to retry (os.link EEXIST
-    after a retry falls into the copy branch which overwrites in place)."""
-    uniq_dir = os.path.join(pfull, "is_dup=0")
-    if os.path.isdir(uniq_dir):
-        for k, f in enumerate(sorted(os.listdir(uniq_dir))):
-            if f.endswith(".parquet"):
-                src = os.path.join(uniq_dir, f)
-                dst = os.path.join(tmp_final, f"uniq-{pid}-{k:04d}.parquet")
-                try:
-                    os.link(src, dst)
-                except OSError:
+def _link_partitions(parts: list, tmp_final: str) -> "pa.Table | None":
+    """Finalize unit for a chunk of (partition dir, pid) (runs as a remote
+    task): hardlink each partition's unique-url files into the final store
+    and return the newest capture per url of their dup files (``None``
+    without any). Safe to retry (os.link EEXIST after a retry falls into
+    the copy branch which overwrites in place)."""
+    from ocr_suite_ray.stages.dedup import _local_best, encode_spans
+
+    dups = []
+    for pfull, pid in parts:
+        uniq_dir = os.path.join(pfull, "is_dup=0")
+        if os.path.isdir(uniq_dir):
+            for k, f in enumerate(sorted(os.listdir(uniq_dir))):
+                if f.endswith(".parquet"):
+                    src = os.path.join(uniq_dir, f)
+                    dst = os.path.join(tmp_final, f"uniq-{pid}-{k:04d}.parquet")
                     try:
-                        shutil.copy2(src, dst)
-                    except shutil.SameFileError:
-                        # a retried task re-links a file it already
-                        # hardlinked: dst IS src's inode — done
-                        pass
-    ddir = os.path.join(pfull, "is_dup=1")
-    if not os.path.isdir(ddir):
-        return []
-    return [
-        os.path.join(ddir, f)
-        for f in sorted(os.listdir(ddir))
-        if f.endswith(".parquet")
-    ]
+                        os.link(src, dst)
+                    except OSError:
+                        try:
+                            shutil.copy2(src, dst)
+                        except shutil.SameFileError:
+                            # a retried task re-links a file it already
+                            # hardlinked: dst IS src's inode — done
+                            pass
+        ddir = os.path.join(pfull, "is_dup=1")
+        if os.path.isdir(ddir):
+            dups += [
+                encode_spans(pq.read_table(os.path.join(ddir, f)))
+                for f in sorted(os.listdir(ddir))
+                if f.endswith(".parquet")
+            ]
+    return _local_best(pa.concat_tables(dups)) if dups else None
 
 
-def _finalize_linked(extracted_dir: str, tmp_final: str) -> None:
+def _finalize_linked(extracted_dir: str, tmp_final: str) -> dict:
     """Finalize for the is_dup-partitioned layout: unique-url files are
     HARDLINKED into the final store (zero data movement — the extract phase
     already wrote them in final schema), and only the tiny dup subset is
-    read, exactly-reduced (block combiner + one coalesce task) and written.
+    read, exactly-reduced (per-task combiner + one tree) and written.
     On a distributed filesystem the links become either copies or manifest
     references; the point stands: finalize cost scales with the dup rate,
-    not the corpus.
+    not the corpus. Returns the tasks the fan-out started.
 
-    The link walk is SHARDED: the driver does exactly one listdir (one entry
-    per partition) and fans out a remote task per partition that lists and
-    links that partition's files — at 10^6+ output files the per-file
-    metadata ops run across the pool instead of serializing on the driver.
-    The driver only ever holds partition names and dup file paths."""
-    import ray
-
-    from ocr_suite_ray.stages.dedup import (
-        _local_best,
-        decode_spans,
-        encode_spans,
-    )
+    The walk is SHARDED: the driver does exactly one listdir (one entry per
+    partition) and fans out one remote task per chunk of partitions
+    (``cpu_chunks``) that links their unique-url files and reduces their
+    dup files — at 10^6+ output files the per-file metadata ops run across
+    the pool instead of serializing on the driver, and the tree over the
+    tasks' dup winners needs no Dataset execution ramp. The driver only
+    ever holds partition names."""
+    from ocr_suite_ray.stages.dedup import _local_best, decode_spans
 
     os.makedirs(tmp_final, exist_ok=True)
-    link_task = ray.remote(num_cpus=0.25)(_link_partition_task)
-    link_refs = []
-    for pdir in sorted(os.listdir(extracted_dir)):
-        pfull = os.path.join(extracted_dir, pdir)
-        if not (os.path.isdir(pfull) and pdir.startswith("partition_id=")):
-            continue
-        pid = pdir.split("=", 1)[1]
-        link_refs.append(link_task.remote(pfull, pid, tmp_final))
-    dup_files = [f for part in ray.get(link_refs) for f in part]
-    if not dup_files:
-        return
-    # dup subset is tiny (dup-rate bound): per-file remote read+combine tasks
-    # feed the tree directly — no Dataset execution ramp
-    from ocr_suite_ray.state.dupset import tree_reduce_refs
-
-    @ray.remote
-    def _read_best(path: str):
-        return _local_best(encode_spans(pq.read_table(path)))
-
+    parts = [
+        (os.path.join(extracted_dir, pdir), pdir.split("=", 1)[1])
+        for pdir in sorted(os.listdir(extracted_dir))
+        if pdir.startswith("partition_id=")
+        and os.path.isdir(os.path.join(extracted_dir, pdir))
+    ]
+    chunks = cpu_chunks(parts)
+    link = remote_fn(_link_partitions)
     winners = tree_reduce_refs(
-        [_read_best.remote(f) for f in dup_files],
-        _local_best,
-        decode_spans,
+        [link.remote(c, tmp_final) for c in chunks], _local_best, decode_spans
     )
     if winners is not None:
         pq.write_table(winners, os.path.join(tmp_final, "winners.parquet"))
+    return {"link": len(chunks)}
 
 
 def run_pipeline(pages_dir: str, out_dir: str, cfg: ExtractConfig | None = None) -> dict:

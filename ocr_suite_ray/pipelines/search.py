@@ -4,10 +4,10 @@ The reference's viewer fans a LIKE query over per-video SQLite shards,
 merges, sorts by timestamp and builds a day→hour→minute→frame tree
 (``src/viewer/search.cpp:96-196``, ``src/viewer/results.cpp:123-126``,
 ``src/viewer/views/search_results_view.cpp:26-158``). Here each query reads
-the store once, with one plain Ray task per parquet file and no Ray Data
-exchange:
+the store once, with one plain Ray task per chunk of parquet files (at
+most one chunk per CPU) and no Ray Data exchange:
 
-    per file: walk row groups → filter(match_substring)      [vectorized]
+    per chunk: walk row groups → filter(match_substring)     [vectorized]
       search:    → project + sort(warc_ts, url)   → tree merge, same sort
       hierarchy: → day/hour/minute count partial  → tree merge, summed
 
@@ -21,6 +21,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ocr_suite_ray.schemas import EXTRACTED_SCHEMA
+from ocr_suite_ray.state.dupset import (
+    cpu_chunks,
+    dataset_from_root,
+    remote_fn,
+    tree_reduce_refs,
+)
 from ocr_suite_ray.stages.search import (
     HIERARCHY_SCHEMA,
     check_pattern,
@@ -44,37 +50,41 @@ def _hierarchy_of_hits(t: pa.Table) -> pa.Table:
     return hierarchy_partial(t["warc_ts"])
 
 
-def _scan_file(path: str, pattern: str, columns: list, per_file):
-    """``per_file`` of the ``columns`` of the rows of one parquet file whose
-    text contains ``pattern`` (``None`` for a file without hits). Walks the
-    file's row groups, so worker memory is bounded by one row group's
-    ``text``."""
+def _scan_chunk(paths: list, pattern: str, columns: list, per_chunk):
+    """``per_chunk`` of the ``columns`` of the rows of a chunk of parquet
+    files whose text contains ``pattern`` (``None`` for a chunk without
+    hits), applied once to the chunk's hits in file order. Walks the files
+    row group by row group, so worker memory is bounded by one row group's
+    ``text`` plus the chunk's projected hits."""
     import pyarrow.parquet as pq
 
-    f = pq.ParquetFile(path)
     hits = []
-    for rg in range(f.metadata.num_row_groups):
-        t = f.read_row_group(rg, columns=columns + ["text"])
-        t = t.filter(pc.match_substring(t["text"], pattern))
-        if t.num_rows:
-            hits.append(t.select(columns))
-    return per_file(pa.concat_tables(hits)) if hits else None
+    for path in paths:
+        f = pq.ParquetFile(path)
+        for rg in range(f.metadata.num_row_groups):
+            t = f.read_row_group(rg, columns=columns + ["text"])
+            t = t.filter(pc.match_substring(t["text"], pattern))
+            if t.num_rows:
+                hits.append(t.select(columns))
+    return per_chunk(pa.concat_tables(hits)) if hits else None
 
 
-def _scan_files(final_dir: str, pattern: str, columns: list, per_file) -> list:
-    """One plain remote :func:`_scan_file` task per parquet file of the
-    store. This skips a Dataset execution's fixed ramp, as the flagship's
-    dup scan (``state.dupset.dup_key_table_ref_from_files``) does."""
+def _scan_merge(final_dir: str, pattern: str, columns: list, per_chunk, merge, schema):
+    """One plain remote :func:`_scan_chunk` task per contiguous chunk of
+    the store's parquet files (``cpu_chunks``: one chunk per CPU at most),
+    tree-merged with ``merge`` into a one-block Dataset of ``schema``.
+    This skips a Dataset execution's fixed ramp, as the flagship's dup scan
+    (``state.dupset.dup_key_table_ref_from_files``) does, and pays one task
+    round trip per CPU, not per file."""
     import pyarrow.dataset as pads
 
-    from ocr_suite_ray.state.dupset import remote_fn
-
     check_pattern(pattern)
-    scan = remote_fn(_scan_file)
-    return [
-        scan.remote(path, pattern, columns, per_file)
-        for path in pads.dataset(final_dir, format="parquet").files
+    scan = remote_fn(_scan_chunk)
+    files = pads.dataset(final_dir, format="parquet").files
+    leaves = [
+        scan.remote(chunk, pattern, columns, per_chunk) for chunk in cpu_chunks(files)
     ]
+    return dataset_from_root(tree_reduce_refs(leaves, merge, materialize=False), schema)
 
 
 def search_extracted(final_dir: str, pattern: str):
@@ -82,15 +92,12 @@ def search_extracted(final_dir: str, pattern: str):
     status``), globally ordered by capture time with a deterministic url
     tiebreak and null times last (the merged+sorted viewer result set).
 
-    Each file's hits are sorted in its scan task, then merged by a tree
+    Each chunk's hits are sorted in its scan task, then merged by a tree
     with the same sort. The root holds the whole projected hit set in one
     worker — about 70 B/row, so a 1M-hit query needs ~70 MB there, the
     shape of the reference viewer's in-memory merge."""
-    from ocr_suite_ray.state.dupset import dataset_from_root, tree_reduce_refs
-
-    leaves = _scan_files(final_dir, pattern, SEARCH_COLS, _by_capture)
-    return dataset_from_root(
-        tree_reduce_refs(leaves, _by_capture, materialize=False), SEARCH_SCHEMA
+    return _scan_merge(
+        final_dir, pattern, SEARCH_COLS, _by_capture, _by_capture, SEARCH_SCHEMA
     )
 
 
@@ -98,11 +105,8 @@ def search_hierarchy(final_dir: str, pattern: str):
     """day→hour→minute counts of matches (the search-results tree,
     flattened to group counts — the UI label '{frame} - {n}' analogue), in
     tree order."""
-    from ocr_suite_ray.state.dupset import dataset_from_root, tree_reduce_refs
-
-    leaves = _scan_files(final_dir, pattern, ["warc_ts"], _hierarchy_of_hits)
-    return dataset_from_root(
-        tree_reduce_refs(leaves, hierarchy_merge, materialize=False),
+    return _scan_merge(
+        final_dir, pattern, ["warc_ts"], _hierarchy_of_hits, hierarchy_merge,
         HIERARCHY_SCHEMA,
     )
 

@@ -292,9 +292,9 @@ def dedup_keep_cluster_best(
 
 
 def _cluster_partitions() -> int:
-    import ray
+    from ocr_suite_ray.state.dupset import cluster_cpus
 
-    return max(4, int(ray.cluster_resources().get("CPU", 16)) // 4)
+    return max(4, cluster_cpus() // 4)
 
 
 def connected_components_distributed(

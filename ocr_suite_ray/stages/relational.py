@@ -103,10 +103,9 @@ def join_on(
     (cpus//4, floor 4) rather than sit at a constant that over-partitions
     small clusters and under-partitions big ones."""
     if num_partitions is None:
-        import ray
+        from ocr_suite_ray.state.dupset import cluster_cpus
 
-        n_cpu = int(ray.cluster_resources().get("CPU", 16))
-        num_partitions = max(4, n_cpu // 4)
+        num_partitions = max(4, cluster_cpus() // 4)
     return left.join(right, join_type=join_type, on=on, num_partitions=num_partitions)
 
 

@@ -334,7 +334,8 @@ def segment_dedup_within(ds, id_col: str = "doc_id", text_col: str = "text", w: 
 
 def _seg_counts(keys) -> pa.Table:
     """(seg, n) per distinct segment key of one block: uint64 digests
-    (numpy) or segment strings (Arrow)."""
+    (numpy) or segment strings (Arrow). A null key (a null group's
+    composite) is not counted, so it is never a dup."""
     import pyarrow.compute as pc
 
     if isinstance(keys, np.ndarray):
@@ -345,7 +346,7 @@ def _seg_counts(keys) -> pa.Table:
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
             }
         )
-    vc = pc.value_counts(keys)
+    vc = pc.value_counts(pc.drop_null(keys))
     return pa.table(
         {"seg": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
     )
@@ -527,7 +528,9 @@ def grouped_paragraph_dedup(
     pre-sorted digest view — no composite string is ever materialized.
     ``key="text"`` keys on the length-prefixed composite ``len(group) +
     US + group + US + segment`` (injective even when group or tokens
-    contain US) and is the SQL-oracle twin path.
+    contain US) and is the SQL-oracle twin path. A null group never
+    dedups, under either key (the SQL twin's ``s.source = d.source`` never
+    matches a null source): its segments are left out of the count.
     """
     import pyarrow.compute as pc
 
@@ -571,11 +574,17 @@ def grouped_paragraph_dedup(
             pc.cast(pc.utf8_length(g), pa.string()), g, SEP
         )
         gtake = gkey.take(pa.array(row_of, pa.int64()))
+        # null for a null group: never counted, so never probed as a dup
         comp = pc.binary_join_element_wise(gtake, segs, SEP)
         return row_of, segs, comp
 
+    def _counted_digests(t: pa.Table):
+        row_of, _seg_len, _flat, digests = _hash_rows(t)
+        valid = _group_strings(t).is_valid().to_numpy(zero_copy_only=False)
+        return digests[valid[row_of]]
+
     if key == "hash64":
-        ref = _dup_seg_ref(ds, lambda t: _hash_rows(t)[3])
+        ref = _dup_seg_ref(ds, _counted_digests)
         return _probe_clean_stage(
             ds, ref, id_col, "hash64",
             hash_rows=_hash_rows, comp_rows=None,

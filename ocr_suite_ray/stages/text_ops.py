@@ -1189,18 +1189,13 @@ def _bm25_topk(t: pa.Table, top_k: int) -> pa.Table:
     return t.take(idx[:top_k])
 
 
-def _bm25_score_block(stats, t, k1: float, b: float, top_k: int):
-    """Top-``top_k`` ``(id, _score)`` of one candidate block of
-    :func:`bm25_rank` against the reduced ``stats`` table."""
+def _bm25_score_blocks(stats, k1: float, b: float, top_k: int, *blocks):
+    """Top-``top_k`` ``(id, _score)`` over a chunk of candidate blocks of
+    :func:`bm25_rank`, each scored against the reduced ``stats`` table
+    (``None`` when the blocks hold no candidates)."""
     import pyarrow.compute as pc
 
-    # blocks of an empty input skip the candidate UDF and keep their
-    # pre-UDF schema; they hold no candidates
-    if "term" not in getattr(t, "column_names", ()):
-        return None
-    is_stats = pc.is_null(t["term"]).to_numpy(zero_copy_only=False)
-    c = t.filter(pa.array(~is_stats))
-    if c.num_rows == 0:
+    if stats is None:  # every block was empty
         return None
     terms = stats["term"].to_pylist()
     n = stats["n"].to_numpy()
@@ -1212,26 +1207,34 @@ def _bm25_score_block(stats, t, k1: float, b: float, top_k: int):
         for w, df in zip(terms, n)
         if w is not None
     }
-    # a doc is a run of one (batch, row): batches are numbered by the
-    # stats row that opens each of them
-    batch = np.cumsum(is_stats)[~is_stats]
-    rows = c["row"].to_numpy()
-    new_doc = np.ones(len(rows), dtype=bool)
-    new_doc[1:] = (rows[1:] != rows[:-1]) | (batch[1:] != batch[:-1])
-    doc = np.cumsum(new_doc) - 1
-    idf = np.array([idf_by_term[w] for w in c["term"].to_pylist()], np.float64)
-    tf = c["tf"].to_numpy().astype(np.float64)
-    dl = c["dl"].to_numpy().astype(np.float64)
-    contrib = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-    scores = np.zeros(int(doc[-1]) + 1, dtype=np.float64)
-    np.add.at(scores, doc, contrib)
-    return _bm25_topk(
-        pa.table({
+    scored = []
+    for t in blocks:
+        # blocks of an empty input skip the candidate UDF and keep their
+        # pre-UDF schema; they hold no candidates
+        if "term" not in getattr(t, "column_names", ()):
+            continue
+        is_stats = pc.is_null(t["term"]).to_numpy(zero_copy_only=False)
+        c = t.filter(pa.array(~is_stats))
+        if c.num_rows == 0:
+            continue
+        # a doc is a run of one (batch, row): batches are numbered by the
+        # stats row that opens each of them
+        batch = np.cumsum(is_stats)[~is_stats]
+        rows = c["row"].to_numpy()
+        new_doc = np.ones(len(rows), dtype=bool)
+        new_doc[1:] = (rows[1:] != rows[:-1]) | (batch[1:] != batch[:-1])
+        doc = np.cumsum(new_doc) - 1
+        idf = np.array([idf_by_term[w] for w in c["term"].to_pylist()], np.float64)
+        tf = c["tf"].to_numpy().astype(np.float64)
+        dl = c["dl"].to_numpy().astype(np.float64)
+        contrib = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+        scores = np.zeros(int(doc[-1]) + 1, dtype=np.float64)
+        np.add.at(scores, doc, contrib)
+        scored.append(pa.table({
             "id": c["id"].take(pa.array(np.flatnonzero(new_doc))),
             "_score": pa.array(scores, pa.float64()),
-        }),
-        top_k,
-    )
+        }))
+    return _bm25_topk(pa.concat_tables(scored), top_k) if scored else None
 
 
 def bm25_rank(
@@ -1256,16 +1259,22 @@ def bm25_rank(
     several batches into one block, so a doc is keyed by its batch (the
     running count of stats rows) as well as its row. A tree reduce of the
     candidate blocks (:func:`_bm25_stats`) gives N, the total length and
-    the QUERY terms' df — a handful of rows. One plain task per candidate
-    block scores it against that table and keeps its top-k, summing each
-    doc's contributions in (row, first-occurrence term) order, and a tree
-    merge of k-row tables picks the result. The corpus never shuffles.
+    the QUERY terms' df — a handful of rows. One plain task per chunk of
+    candidate blocks (``cpu_chunks``: one chunk per CPU at most) scores
+    each block against that table, summing each doc's contributions in
+    (row, first-occurrence term) order, and keeps one top-k; a tree merge
+    of k-row tables picks the result. The corpus never shuffles.
     Reference analogue: the viewer's ``find_text`` ranked search
     (src/viewer/search.h) upgraded from LIKE-match to relevance ranking.
     """
     import pyarrow.compute as pc
 
-    from ocr_suite_ray.state.dupset import block_refs, remote_fn, tree_reduce_refs
+    from ocr_suite_ray.state.dupset import (
+        block_refs,
+        cpu_chunks,
+        remote_fn,
+        tree_reduce_refs,
+    )
 
     qset = pa.array(sorted(set(query_terms)), pa.string())
 
@@ -1296,9 +1305,9 @@ def bm25_rank(
 
     refs = block_refs(ds.map_batches(_candidates, batch_format="pyarrow"))
     stats_ref = tree_reduce_refs(refs, _bm25_stats, materialize=False)
-    score = remote_fn(_bm25_score_block)
+    score = remote_fn(_bm25_score_blocks)
     out = tree_reduce_refs(
-        [score.remote(stats_ref, r, k1, b, top_k) for r in refs],
+        [score.remote(stats_ref, k1, b, top_k, *c) for c in cpu_chunks(refs)],
         lambda t: _bm25_topk(t, top_k),
         materialize=True,
     )

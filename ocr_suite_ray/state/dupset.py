@@ -22,7 +22,9 @@ heap, the pipeline's only real scale-killer. This module replaces it:
 
 Scale contract: a shard root holds the keys of at most 2M input rows,
 or 1/64 of them past 128M rows (a bucket's share in the former exchange
-tier; not re-driven at 10x). Only the merged dup-key table and the
+tier; not re-driven at 10x). A file-scan leaf holds the distinct keys
+of its chunk, 1/CPUs of the input files (``cpu_chunks``), before any
+shard split. Only the merged dup-key table and the
 membership build are dup-rate bound (one worker must hold the dup keys
 once). Beyond that, use ``dedup_latest(strategy="bucket")`` — the full
 shuffle needs no membership.
@@ -73,27 +75,28 @@ def _concat_live(tables) -> "pa.Table | None":
     return pa.concat_tables(live).combine_chunks() if live else None
 
 
+def _merge(combine_fn, final_fn, *tables):
+    t = _concat_live(tables)
+    if t is None:
+        return None
+    t = combine_fn(t)
+    return final_fn(t) if final_fn is not None else t
+
+
 def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = True):
     """Tree-reduce a list of ObjectRefs to Arrow tables with remote tasks —
     the ref-level core of ``coalesce_reduce`` (see its contract); also used
-    directly over per-file read tasks to skip a Dataset execution's fixed
+    directly over plain scan tasks to skip a Dataset execution's fixed
     ramp for small narrow reductions."""
     import ray
 
-    @ray.remote
-    def _merge(final: bool, *tables):
-        t = _concat_live(tables)
-        if t is None:
-            return None
-        t = combine_fn(t)
-        return final_fn(t) if (final and final_fn is not None) else t
-
+    merge = remote_fn(_merge)
     while len(refs) > _FANIN:
         refs = [
-            _merge.remote(False, *refs[i : i + _FANIN])
+            merge.remote(combine_fn, None, *refs[i : i + _FANIN])
             for i in range(0, len(refs), _FANIN)
         ]
-    root = _merge.remote(True, *refs)
+    root = merge.remote(combine_fn, final_fn, *refs)
     return ray.get(root) if materialize else root
 
 
@@ -106,6 +109,24 @@ def remote_fn(fn):
     import ray
 
     return ray.remote(fn)
+
+
+def cluster_cpus() -> int:
+    """The cluster's logical CPUs (``ray.cluster_resources()``), at least 1."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def cpu_chunks(items: list) -> list:
+    """``items`` as ``min(len(items), cluster_cpus())`` contiguous chunks
+    whose sizes differ by at most one (no chunk for an empty list). A
+    per-input step runs one task per chunk: as many tasks as the cluster
+    can run at once, so on few CPUs the task round trip is paid once per
+    CPU, not once per file (DS2's rule: parallelism from the resources
+    that run the work, not from the input count)."""
+    n, m = min(len(items), cluster_cpus()), len(items)
+    return [items[i * m // n : (i + 1) * m // n] for i in range(n)]
 
 
 def _or_empty(t, schema):
@@ -245,26 +266,30 @@ def dup_key_fns(key_col: str) -> tuple:
     return tuple(functools.partial(f, key_col=key_col) for f in fns)
 
 
-def _file_key_counts(path: str, key_col: str) -> tuple:
-    # row group by row group: the task holds one row group's keys at a time
-    f = pq.ParquetFile(path)
-    parts = [
-        _key_counts(f.read_row_group(rg, columns=[key_col]), key_col)
-        for rg in range(f.metadata.num_row_groups)
-    ]
-    return _sum_counts(pa.concat_tables(parts), key_col), f.metadata.num_rows
+def _files_key_counts(paths: list, key_col: str) -> tuple:
+    """(key, n) summed over ``paths`` and their footer row count. Reads
+    row group by row group and keeps each one's counts only."""
+    parts, rows = [], 0
+    for path in paths:
+        f = pq.ParquetFile(path)
+        rows += f.metadata.num_rows
+        parts += [
+            _key_counts(f.read_row_group(rg, columns=[key_col]), key_col)
+            for rg in range(f.metadata.num_row_groups)
+        ]
+    return (_sum_counts(pa.concat_tables(parts), key_col) if parts else None), rows
 
 
-def dup_key_table_ref_from_files(files: list, key_col: str = "url"):
-    """Like ``dup_key_table_ref`` (narrow path) but one plain remote task per
-    FILE reads and counts the key column, skipping a Dataset execution's
-    ~1-2 s fixed ramp (a measurable share of the flagship's wall at bench
-    scale). Each leaf also returns its file's footer row count, which
-    sizes the reduce once every leaf is done."""
+def dup_key_table_ref_from_files(chunks: list, key_col: str = "url"):
+    """Like ``dup_key_table_ref`` (narrow path) but one plain remote task
+    per chunk of files (``cpu_chunks``) reads and counts the key column,
+    skipping a Dataset execution's ~1-2 s fixed ramp (a measurable share of
+    the flagship's wall at bench scale). Each leaf also returns its files'
+    footer row count, which sizes the reduce once every leaf is done."""
     import ray
 
-    leaf = remote_fn(_file_key_counts).options(num_returns=2)
-    leaves = [leaf.remote(path, key_col) for path in files]
+    leaf = remote_fn(_files_key_counts).options(num_returns=2)
+    leaves = [leaf.remote(chunk, key_col) for chunk in chunks]
     rows = sum(ray.get([n for _, n in leaves]))
     return keyed_dup_reduce(
         [c for c, _ in leaves], rows, key_col, *dup_key_fns(key_col)
@@ -282,6 +307,17 @@ def dup_key_table_ref(ds, key_col: str = "url"):
     return keyed_dup_reduce_ds(partials, key_col, *dup_key_fns(key_col))
 
 
+def _dup_meta(path, t, key_col):
+    if t is None:
+        t = pa.table({key_col: pa.array([], pa.string())})
+    keys = t.column(key_col).to_pylist()
+    fp = hashlib.sha256("\x00".join(keys).encode()).hexdigest()[:16]
+    if path is not None:
+        pq.write_table(t, path + ".tmp")
+        os.replace(path + ".tmp", path)
+    return t.num_rows, fp
+
+
 def dup_meta_ref(dup_ref, key_col: str = "url", persist_path: str | None = None):
     """Ref to (n_dups, fingerprint) of the dup-key table, computed
     worker-side; the driver receives two scalars on resolve. Optionally
@@ -289,32 +325,30 @@ def dup_meta_ref(dup_ref, key_col: str = "url", persist_path: str | None = None)
     can reload it without re-scanning the input. The fingerprint is sha256
     over the sorted keys — stable across partitioning and replay. Returned
     unresolved so callers can overlap it with sibling tasks."""
-    import ray
+    return remote_fn(_dup_meta).remote(persist_path, dup_ref, key_col)
 
-    @ray.remote
-    def _meta(path, t):
-        if t is None:
-            t = pa.table({key_col: pa.array([], pa.string())})
-        keys = t.column(key_col).to_pylist()
-        fp = hashlib.sha256("\x00".join(keys).encode()).hexdigest()[:16]
-        if path is not None:
-            pq.write_table(t, path + ".tmp")
-            os.replace(path + ".tmp", path)
-        return t.num_rows, fp
 
-    return _meta.remote(persist_path, dup_ref)
+def _load_dup_table(p):
+    t = pq.read_table(p)
+    return t if t.num_rows else None
 
 
 def load_dup_table_ref(path: str):
     """ObjectRef[pa.Table | None] from a persisted dup-key artifact."""
-    import ray
+    return remote_fn(_load_dup_table).remote(path)
 
-    @ray.remote
-    def _load(p):
-        t = pq.read_table(p)
-        return t if t.num_rows else None
 
-    return _load.remote(path)
+def _membership(t, key_col, max_exact):
+    if t is None or t.num_rows == 0:
+        return ("exact", pa.array([], pa.string()))
+    keys = t.column(key_col).combine_chunks()
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.chunk(0) if keys.num_chunks else pa.array([], pa.string())
+    if len(keys) <= max_exact:
+        return ("exact", keys)
+    bf = BloomFilter(len(keys), fpp=0.01)
+    bf.add_many(keys.to_pylist())
+    return ("bloom", bf)
 
 
 def membership_ref(dup_ref, key_col: str = "url", max_exact: int = 1_000_000):
@@ -322,22 +356,7 @@ def membership_ref(dup_ref, key_col: str = "url", max_exact: int = 1_000_000):
     below ``max_exact`` keys, ``("bloom", BloomFilter)`` above. Built ONCE in
     a worker task; actors wrap it with ``DupMembership`` (one object-store
     read per actor, zero re-shipping per batch)."""
-    import ray
-
-    @ray.remote
-    def _build(t):
-        if t is None or t.num_rows == 0:
-            return ("exact", pa.array([], pa.string()))
-        keys = t.column(key_col).combine_chunks()
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.chunk(0) if keys.num_chunks else pa.array([], pa.string())
-        if len(keys) <= max_exact:
-            return ("exact", keys)
-        bf = BloomFilter(len(keys), fpp=0.01)
-        bf.add_many(keys.to_pylist())
-        return ("bloom", bf)
-
-    return _build.remote(dup_ref)
+    return remote_fn(_membership).remote(dup_ref, key_col, max_exact)
 
 
 class DupMembership:

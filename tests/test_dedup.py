@@ -129,11 +129,12 @@ def test_sharded_dup_key_merge_matches_single(ray_session, tmp_path, monkeypatch
         pq.write_table(t, p, row_group_size=50)
         files.append(p)
 
+    chunks = dupset.cpu_chunks(files)
     assert dupset.shard_count(700) == 1
-    single = ray.get(dupset.dup_key_table_ref_from_files(files))
+    single = ray.get(dupset.dup_key_table_ref_from_files(chunks))
     monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 44)
     assert dupset.shard_count(700) == 16
-    sharded = ray.get(dupset.dup_key_table_ref_from_files(files))
+    sharded = ray.get(dupset.dup_key_table_ref_from_files(chunks))
     assert single.equals(sharded)
     assert single.num_rows == 37  # every i%37 url appears >1 times
 
@@ -168,7 +169,10 @@ def test_multi_shard_dup_keys_int_key_with_null_block(
     pq.write_table(plain, files[0])
     pq.write_table(pa.table({"k": pa.array([5, None], pa.int64())}), files[1])
     assert dupset.shard_count(42) > 1
-    got = ray.get(dupset.dup_key_table_ref_from_files(files, key_col="k"))
+    # one file per leaf: each file's partial is split on its own
+    got = ray.get(
+        dupset.dup_key_table_ref_from_files([[f] for f in files], key_col="k")
+    )
     assert got["k"].to_pylist() == [5]
 
 
@@ -195,7 +199,7 @@ def test_null_key_is_never_a_dup(ray_session, tmp_path):
         p = str(tmp_path / f"urls_{part}.parquet")
         pq.write_table(table.select(["url"]).slice(part * 4, 4), p)
         files.append(p)
-    got = ray.get(dup_key_table_ref_from_files(files))
+    got = ray.get(dup_key_table_ref_from_files([[f] for f in files]))
     assert got["url"].to_pylist() == ["u1", "u3"]
 
     def run(strategy):
@@ -209,3 +213,53 @@ def test_null_key_is_never_a_dup(ray_session, tmp_path):
     outs = [run(s) for s in ("partial", "bucket", "map_groups")]
     assert outs[0] == outs[1] == outs[2]
     assert [t for _, t, null in outs[0] if null] == ["null a", "null b"]
+
+
+def test_cpu_chunks_cover_items_once_in_at_most_cpu_chunks(ray_session):
+    """``cpu_chunks`` keeps every item once, in order, in min(n, CPUs)
+    contiguous chunks whose sizes differ by at most one. An empty list
+    gives no chunk, so a fan-out over it starts no task."""
+    from ocr_suite_ray.state.dupset import cluster_cpus, cpu_chunks
+
+    cpus = int(ray_session.cluster_resources()["CPU"])
+    assert cluster_cpus() == cpus
+    for n in (1, cpus - 1, cpus, cpus + 1, 41):
+        items = [f"f{i}" for i in range(n)]
+        chunks = cpu_chunks(items)
+        assert len(chunks) == min(n, cpus)
+        assert [x for c in chunks for x in c] == items
+        sizes = [len(c) for c in chunks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert cpu_chunks([]) == []
+
+
+def test_tree_reduce_refs_over_more_refs_than_fanin(ray_session):
+    """More refs than the fan-in, None and empty inputs among them: a
+    two-level tree applies ``combine_fn`` at every merge and ``final_fn``
+    once, at the root."""
+    import pyarrow.compute as pc
+    import ray
+
+    from ocr_suite_ray.state import dupset
+
+    n = 3 * dupset._FANIN + 5
+    tables = [pa.table({"k": [i % 7, i % 5], "n": [1, 1]}) for i in range(n)]
+    refs = [ray.put(t) for t in tables]
+    refs += [ray.put(None), ray.put(tables[0].slice(0, 0))]
+    assert len(refs) > dupset._FANIN
+
+    def combine(t):
+        g = t.group_by("k").aggregate([("n", "sum")])
+        return g.select(["k", "n_sum"]).rename_columns(["k", "n"])
+
+    def final(t):  # applied twice, the counts would be 100x
+        t = t.take(pc.sort_indices(t, sort_keys=[("k", "ascending")]))
+        return t.set_column(1, "n", pc.multiply(t["n"], 10))
+
+    got = dupset.tree_reduce_refs(refs, combine, final)
+    want = {}
+    for i in range(n):
+        for k in (i % 7, i % 5):
+            want[k] = want.get(k, 0) + 10
+    assert got.to_pydict() == {"k": sorted(want), "n": [want[k] for k in sorted(want)]}
+    assert dupset.tree_reduce_refs([ray.put(None)] * 40, combine, final) is None

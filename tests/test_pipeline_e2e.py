@@ -4,6 +4,8 @@ reference path byte-for-byte per url, at any parallelism / wave size
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -99,3 +101,26 @@ def test_resolve_wave_size():
         _resolve_wave_size("huge", 10)
     with pytest.raises(ValueError):
         _resolve_wave_size(0, 10)
+
+
+def test_more_partitions_than_cpus_matches_golden(ray_session, tmp_path):
+    """Nine partitions on fewer CPUs: the probe, dup scan, fingerprint
+    and finalize fan-outs each start one task per chunk of inputs, at most
+    one per CPU, the summaries record those counts, and final/ still
+    equals golden_extract (the corpus repeats urls across partitions, so
+    the finalize reduces dup files from several tasks)."""
+    from ocr_suite_ray.sources.synthetic import generate_corpus
+
+    cpus = int(ray_session.cluster_resources()["CPU"])
+    files = generate_corpus(str(tmp_path / "pages"), 360, seed=3, n_files=9)
+    assert len(files) > cpus
+    out = str(tmp_path / "out")
+    s = run_pipeline(
+        str(tmp_path / "pages"), out,
+        ExtractConfig(pool_size=2, on_bad_input="quarantine"),
+    )
+    assert s["partitions_processed"] == 9
+    assert s["fanout"] == {"cpus": cpus, "probe": cpus, "dup_scan": cpus, "dup_fp": cpus}
+    assert s["finalize"]["fanout"] == {"cpus": cpus, "link": cpus}
+    assert os.path.exists(os.path.join(out, "final", "winners.parquet"))
+    _assert_matches_golden(_load_final(out), golden_extract(_load_pages(files)))

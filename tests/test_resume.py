@@ -173,7 +173,7 @@ def test_killed_wave_resumes_at_unit_granularity(ray_session, small_corpus, tmp_
     # simulate a killed wave: process only the FIRST unit by hand, leaving
     # its sink files + completion marker in _wave_tmp
     files = list_pages_files(pages_dir)
-    member_box, _dupset_fp, file_fps = _input_dup_membership(files, out)
+    member_box, _dupset_fp, file_fps, _tasks = _input_dup_membership(files, out)
 
     code_fp = extract_code_fingerprint()
     # mirror run_pipeline's salt derivation (incl. the ocr-engine tag)
@@ -235,7 +235,7 @@ def test_killed_wave_with_shifted_pids_drops_stale_dirs(
     # killed run: extract ALL units of the first file (pid 0) by hand,
     # leaving its sink files + markers in _wave_tmp
     files = list_pages_files(pages)
-    member_box, _fp, file_fps = _input_dup_membership(files, out)
+    member_box, _fp, file_fps, _tasks = _input_dup_membership(files, out)
     code_fp = extract_code_fingerprint()
     # mirror run_pipeline's salt derivation (incl. the ocr-engine tag)
     _engine_tag = cfg.ocr_engine or "none"
@@ -255,7 +255,7 @@ def test_killed_wave_with_shifted_pids_drops_stale_dirs(
     # precondition for the bug: the old markers still validate under the
     # new salts (content unchanged), they just carry stale pids
     files2 = list_pages_files(pages)
-    _box2, _fp2, file_fps2 = _input_dup_membership(files2, out)
+    _box2, _fp2, file_fps2, _tasks2 = _input_dup_membership(files2, out)
     salts2 = {
         p: f"{fp}-{code_fp}-ocr:none" for p, fp in file_fps2.items()
     }

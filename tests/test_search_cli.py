@@ -254,8 +254,11 @@ def test_bm25_rank_block_of_several_batches(ray_session, tmp_path):
 
 
 def test_bm25_rank_over_more_blocks_than_fanin(ray_session):
-    """More than 32 blocks: the stats reduce and the top-k merge are both
-    two-level trees."""
+    """More than 32 blocks: the stats reduce is a two-level tree; the
+    scoring runs one task per chunk of blocks (at most one per CPU), each
+    keeping one top-k over its blocks, and the top-k merge is one level
+    (``tree_reduce_refs`` over more refs than its fan-in is tested in
+    test_dedup)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -421,8 +424,10 @@ def test_zero_hit_pattern_keeps_declared_schema(ray_session, final_store):
 
 
 def test_search_over_more_files_than_fanin(ray_session, tmp_path):
-    """41 files of 4 row groups each: the per-file scans feed a two-level
-    merge tree, and every row group is read."""
+    """41 files of 4 row groups each, more than the merge fan-in: one scan
+    task per chunk of files (at most one per CPU) reads every row group of
+    every file, and the merge is one level (``tree_reduce_refs`` over more
+    refs than its fan-in is tested in test_dedup)."""
     import pyarrow.parquet as pq
 
     d = _write_store(str(tmp_path / "final"), 41, 20, row_group_size=5,

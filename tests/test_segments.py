@@ -419,6 +419,40 @@ def test_grouped_paragraph_dedup_hash64_matches_text_mode(ray_session):
     assert exact == hashed
 
 
+@pytest.mark.parametrize("key", ["text", "hash64"])
+def test_grouped_paragraph_dedup_null_group_never_dedups(ray_session, key):
+    """A null group never dedups, the rule of the dup-key scans
+    (``dupset._key_counts``) and of the ``host_paragraph_dedup`` SQL twin,
+    whose ``s.source = d.source`` join never matches a null source: the
+    two null-group copies of "x y" both survive, as does the one in "a"."""
+    import duckdb
+    import ray.data as rd
+
+    from ocr_suite_ray.pipelines.queries_ml import SQL_HOST_PARAGRAPH_DEDUP
+    from ocr_suite_ray.stages.segments import grouped_paragraph_dedup
+
+    documents = pa.table(
+        {
+            "doc_id": [1, 2, 3],
+            "source": pa.array([None, None, "a"], pa.string()),
+            "text": ["x y", "x y", "x y"],
+        }
+    )
+    # the twin at w = 2: its segment bounds are i*3+1 .. (i+1)*3, /3.0
+    sql = SQL_HOST_PARAGRAPH_DEDUP.replace("*3", "*2").replace("/3.0", "/2.0")
+    assert sql.count("*2") == 2 and "/2.0" in sql
+    con = duckdb.connect()
+    con.register("documents", documents)
+    want = sorted(con.execute(sql).fetchall())
+    assert want == [(1, "x y", 0), (2, "x y", 0), (3, "x y", 0)]
+    got = grouped_paragraph_dedup(
+        rd.from_arrow(documents), "source", w=2, key=key
+    ).take_all()
+    assert sorted(
+        (r["doc_id"], r["text_clean"], r["n_removed"]) for r in got
+    ) == want
+
+
 def test_grouped_paragraph_dedup_rejects_unknown_key(ray_session):
     import pytest
     import ray.data as rd

@@ -21,6 +21,17 @@ from __future__ import annotations
 import os
 
 
+def _split_artifacts(t):
+    """(text hash -> winner url) of the repeated texts and the vocab
+    counts, out of the keyed dup reduce's kind-tagged result."""
+    import pyarrow.compute as pc
+
+    if t is None:
+        return None, None
+    dups = t.filter(pc.equal(t["kind"], 0)).select(["s", "u"])
+    vocab = t.filter(pc.equal(t["kind"], 1)).select(["s", "n"])
+    return dups, vocab.rename_columns(["tok", "n"])
+
 
 def run_curation(
     final_dir: str,
@@ -61,11 +72,10 @@ def run_curation(
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
     from ocr_suite_ray.stages.text_ops import _tokens, lm_scores, quality_score
-    from ocr_suite_ray.state.dupset import keyed_dup_reduce_ds
+    from ocr_suite_ray.state.dupset import keyed_dup_reduce_ds, remote_fn
 
     # crash recovery: a kill inside the promote's two-rename window (below)
     # leaves the previous output parked at .old with the published path
@@ -147,16 +157,8 @@ def run_curation(
         _vocab_or_repeated,
     )
 
-    @ray.remote(num_returns=2)
-    def _split(t):
-        # (text hash -> winner url) of the repeated texts, vocab counts
-        if t is None:
-            return None, None
-        dups = t.filter(pc.equal(t["kind"], 0)).select(["s", "u"])
-        vocab = t.filter(pc.equal(t["kind"], 1)).select(["s", "n"])
-        return dups, vocab.rename_columns(["tok", "n"])
-
-    dup_ref, counts_ref = _split.remote(combined_ref)
+    split = remote_fn(_split_artifacts).options(num_returns=2)
+    dup_ref, counts_ref = split.remote(combined_ref)
 
     # ---- pass 2: enrich + gate + dedup-filter + write ----------------
     def _final(t: pa.Table) -> pa.Table:

@@ -1020,9 +1020,9 @@ def q_point_lookup(sf_dir: str):
     """frame_view-analogue point lookup (``src/viewer/views/frame_view.cpp:
     22-37`` re-reads one frame on demand): fetch a fixed key set straight
     from parquet with a pushed-down predicate — row-group statistics prune
-    non-matching groups, I/O is O(matching row groups) not O(table). Same
-    mechanism as pipelines.search.fetch_payload, exercised over the sf
-    documents table so the oracle can check it."""
+    non-matching groups, I/O is O(matching row groups) not O(table). The
+    pushdown read of each pipelines.search.fetch_payload phase, exercised
+    over the sf documents table so the oracle can check it."""
     import pyarrow.dataset as pads
 
     keys = [0, 17, 42, 123]

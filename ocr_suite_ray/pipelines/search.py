@@ -7,15 +7,20 @@ merges, sorts by timestamp and builds a day→hour→minute→frame tree
 the store once, with one plain Ray task per chunk of parquet files (at
 most one chunk per CPU) and no Ray Data exchange:
 
-    per chunk: walk row groups → filter(match_substring)     [vectorized]
+    per chunk: walk row groups → filter(RE2 literal match)   [vectorized]
       search:    → project + sort(warc_ts, url)   → tree merge, same sort
       hierarchy: → day/hour/minute count partial  → tree merge, summed
 
-The tree merge (``state.dupset.tree_reduce_refs``) holds at most 32 inputs
-per task; its root is the result, handed back as a one-block Dataset.
+The tree merge (``state.dupset.dataset_from_root``) holds at most 32 inputs
+per task; its root is the result, handed back as a one-block Dataset. On
+one CPU the single scan task is that root, so a query runs two serial
+tasks: the scan and ``from_arrow_refs``' metadata task (three with several
+chunks: the root merge runs between them).
 """
 
 from __future__ import annotations
+
+import functools
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -25,11 +30,12 @@ from ocr_suite_ray.state.dupset import (
     cpu_chunks,
     dataset_from_root,
     remote_fn,
-    tree_reduce_refs,
+    root_block,
 )
 from ocr_suite_ray.stages.search import (
     HIERARCHY_SCHEMA,
     check_pattern,
+    contains_literal,
     hierarchy_merge,
     hierarchy_partial,
 )
@@ -50,12 +56,13 @@ def _hierarchy_of_hits(t: pa.Table) -> pa.Table:
     return hierarchy_partial(t["warc_ts"])
 
 
-def _scan_chunk(paths: list, pattern: str, columns: list, per_chunk):
+def _scan_chunk(paths: list, pattern: str, columns: list, per_chunk, root=None):
     """``per_chunk`` of the ``columns`` of the rows of a chunk of parquet
     files whose text contains ``pattern`` (``None`` for a chunk without
-    hits), applied once to the chunk's hits in file order. Walks the files
-    row group by row group, so worker memory is bounded by one row group's
-    ``text`` plus the chunk's projected hits."""
+    hits), applied once to the chunk's hits in file order, then ``root``
+    when this task is the whole query. Walks the files row group by row
+    group, so worker memory is bounded by one row group's ``text`` plus
+    the chunk's projected hits."""
     import pyarrow.parquet as pq
 
     hits = []
@@ -63,28 +70,39 @@ def _scan_chunk(paths: list, pattern: str, columns: list, per_chunk):
         f = pq.ParquetFile(path)
         for rg in range(f.metadata.num_row_groups):
             t = f.read_row_group(rg, columns=columns + ["text"])
-            t = t.filter(pc.match_substring(t["text"], pattern))
+            t = t.filter(contains_literal(t["text"], pattern))
             if t.num_rows:
                 hits.append(t.select(columns))
-    return per_chunk(pa.concat_tables(hits)) if hits else None
+    t = per_chunk(pa.concat_tables(hits)) if hits else None
+    return t if root is None else root(t)
 
 
 def _scan_merge(final_dir: str, pattern: str, columns: list, per_chunk, merge, schema):
     """One plain remote :func:`_scan_chunk` task per contiguous chunk of
     the store's parquet files (``cpu_chunks``: one chunk per CPU at most),
-    tree-merged with ``merge`` into a one-block Dataset of ``schema``.
-    This skips a Dataset execution's fixed ramp, as the flagship's dup scan
+    merged with ``merge`` into a one-block Dataset of ``schema``. This
+    skips a Dataset execution's fixed ramp, as the flagship's dup scan
     (``state.dupset.dup_key_table_ref_from_files``) does, and pays one task
-    round trip per CPU, not per file."""
+    round trip per CPU, not per file.
+
+    Serial tasks per query: with one chunk the scan task is the root (it
+    runs ``per_chunk``, ``merge`` and ``root_block``'s empty-``schema``
+    swap), so two: the scan and ``from_arrow_refs``' metadata task. With
+    several chunks the tree's root merge (one level up to 32 chunks) runs
+    between them, so three."""
     import pyarrow.dataset as pads
+    import ray.data as rd
 
     check_pattern(pattern)
     scan = remote_fn(_scan_chunk)
-    files = pads.dataset(final_dir, format="parquet").files
-    leaves = [
-        scan.remote(chunk, pattern, columns, per_chunk) for chunk in cpu_chunks(files)
-    ]
-    return dataset_from_root(tree_reduce_refs(leaves, merge, materialize=False), schema)
+    chunks = cpu_chunks(pads.dataset(final_dir, format="parquet").files)
+    if len(chunks) == 1:
+        root = functools.partial(root_block, schema, merge, None)
+        return rd.from_arrow_refs(
+            [scan.remote(chunks[0], pattern, columns, per_chunk, root)]
+        )
+    leaves = [scan.remote(chunk, pattern, columns, per_chunk) for chunk in chunks]
+    return dataset_from_root(leaves, merge, schema=schema)
 
 
 def search_extracted(final_dir: str, pattern: str):
@@ -116,15 +134,25 @@ def fetch_payload(pages_dir: str, url: str, columns: list | None = None) -> pa.T
     viewer's frame re-decode (``src/viewer/views/frame_view.cpp:22-37``
     re-reads the exact source frame for a selected match on demand).
 
-    A single-record fetch is not a distributed job: this reads the pages
-    store directly through ``pyarrow.dataset`` with a pushed-down predicate,
-    so parquet row-group statistics prune every row group whose url range
-    excludes the key — I/O is O(matching row groups), not O(store). Returns
-    every capture of the url (dup urls have several), newest first."""
+    A single-record fetch is not a distributed job: it runs in the caller,
+    with no Ray task, and reads the store through ``pyarrow.dataset`` with
+    a pushed-down ``url`` predicate, in two phases. Phase one reads only
+    the url column (and the ``__filename`` special field) to find the
+    files that hold the url; url min/max statistics hardly prune a store
+    of unsorted urls, so a one-phase read decoded ``columns`` (the
+    ``html`` payload) of every file. Phase two reads ``columns`` from
+    those files only, in store order. Returns every capture of the url
+    (dup urls have several), newest first; an absent url gives zero rows
+    of the store schema."""
     import pyarrow.dataset as pads
 
     dset = pads.dataset(pages_dir, format="parquet")
-    t = dset.to_table(filter=pc.field("url") == url, columns=columns)
+    key = pc.field("url") == url
+    held = set(dset.to_table(filter=key, columns=["__filename"])["__filename"].to_pylist())
+    frags = [f for f in dset.get_fragments() if f.path in held]
+    t = pads.FileSystemDataset(frags, dset.schema, dset.format, dset.filesystem).to_table(
+        filter=key, columns=columns
+    )
     if t.num_rows > 1 and "warc_ts" in t.column_names:
         t = t.take(pc.sort_indices(t, sort_keys=[("warc_ts", "descending")]))
     return t
@@ -133,7 +161,7 @@ def fetch_payload(pages_dir: str, url: str, columns: list | None = None) -> pa.T
 def view_document(pages_dir: str, final_dir: str, url: str) -> dict:
     """frame_view parity: the extracted record for ``url`` joined with its
     winning source payload (the raw bytes the viewer re-renders). Both sides
-    are pushdown point lookups."""
+    are two-phase :func:`fetch_payload` lookups."""
     src = fetch_payload(pages_dir, url)
     ext = fetch_payload(final_dir, url)
     if ext.num_rows == 0:

@@ -620,6 +620,37 @@ def token_budget_mixture(
 
     return scanned.map_batches(_take, batch_format="pyarrow")
 
+
+def _overlap_stats(ta, tb) -> pa.Table:
+    """``(n_a, n_b, n_common, jaccard_e4)`` of two distinct-gram tables
+    (``None`` for an empty side)."""
+    import math
+
+    import pyarrow.compute as pc
+
+    empty = pa.table({"gram": pa.array([], pa.string())})
+    ta = ta if ta is not None else empty
+    tb = tb if tb is not None else empty
+    n_a, n_b = ta.num_rows, tb.num_rows
+    if n_a and n_b:
+        hit = pc.index_in(ta["gram"], value_set=tb["gram"].combine_chunks()
+                          if isinstance(tb["gram"], pa.ChunkedArray)
+                          else tb["gram"])
+        common = int(pc.sum(pc.cast(pc.is_valid(hit), pa.int64())).as_py())
+    else:
+        common = 0
+    union = n_a + n_b - common
+    jac = (
+        int(math.floor(common * 10000.0 / union + 0.5)) if union else 0
+    )
+    return pa.table({
+        "n_a": pa.array([n_a], pa.int64()),
+        "n_b": pa.array([n_b], pa.int64()),
+        "n_common": pa.array([common], pa.int64()),
+        "jaccard_e4": pa.array([jac], pa.int64()),
+    })
+
+
 def corpus_overlap(ds_a, ds_b, text_col: str = "text", n: int = 3):
     """Distinct word-n-gram overlap between two corpora — the corpus-level
     contamination/similarity diagnostic (how much of candidate corpus A
@@ -633,13 +664,10 @@ def corpus_overlap(ds_a, ds_b, text_col: str = "text", n: int = 3):
     over the two vocab tables. No shuffle, nothing corpus-sized moves,
     and the driver only ever sees the 1-row result.
     """
-    import math
-
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, remote_fn
 
     def _partials(ds):
         def _p(t: pa.Table) -> pa.Table:
@@ -651,31 +679,7 @@ def corpus_overlap(ds_a, ds_b, text_col: str = "text", n: int = 3):
     def _dedup(t: pa.Table) -> pa.Table:
         return pa.table({"gram": pc.unique(t["gram"])})
 
-    _EMPTY = pa.table({"gram": pa.array([], pa.string())})
     ref_a = coalesce_reduce(_partials(ds_a), _dedup, None, materialize=False)
     ref_b = coalesce_reduce(_partials(ds_b), _dedup, None, materialize=False)
 
-    @ray.remote
-    def _stats(ta, tb) -> pa.Table:
-        ta = ta if ta is not None else _EMPTY
-        tb = tb if tb is not None else _EMPTY
-        n_a, n_b = ta.num_rows, tb.num_rows
-        if n_a and n_b:
-            hit = pc.index_in(ta["gram"], value_set=tb["gram"].combine_chunks()
-                              if isinstance(tb["gram"], pa.ChunkedArray)
-                              else tb["gram"])
-            common = int(pc.sum(pc.cast(pc.is_valid(hit), pa.int64())).as_py())
-        else:
-            common = 0
-        union = n_a + n_b - common
-        jac = (
-            int(math.floor(common * 10000.0 / union + 0.5)) if union else 0
-        )
-        return pa.table({
-            "n_a": pa.array([n_a], pa.int64()),
-            "n_b": pa.array([n_b], pa.int64()),
-            "n_common": pa.array([common], pa.int64()),
-            "jaccard_e4": pa.array([jac], pa.int64()),
-        })
-
-    return rd.from_arrow_refs([_stats.remote(ref_a, ref_b)])
+    return rd.from_arrow_refs([remote_fn(_overlap_stats).remote(ref_a, ref_b)])

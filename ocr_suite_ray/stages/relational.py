@@ -402,7 +402,7 @@ def narrow_grouped_sum(
     table fits one worker (TPC-H Q1 flags, key x hour windows, language
     counts); corpus-keyed aggregates (distinct texts, urls) must keep the
     hash-partitioned shuffle."""
-    from ocr_suite_ray.state.dupset import coalesce_reduce, dataset_from_root
+    from ocr_suite_ray.state.dupset import block_refs, dataset_from_root
 
     def _merge(t: pa.Table) -> pa.Table:
         g = t.group_by(keys).aggregate([(c, "sum") for c in sum_cols])
@@ -411,10 +411,7 @@ def narrow_grouped_sum(
             keys + sum_cols
         )
 
-    return dataset_from_root(
-        coalesce_reduce(partials, _merge, finish_fn, materialize=False),
-        empty_schema,
-    )
+    return dataset_from_root(block_refs(partials), _merge, finish_fn, empty_schema)
 
 
 def count_distinct_by_group(
@@ -635,9 +632,8 @@ def profile_columns(ds, num_cols: list | None = None,
     the parquet statistics convention); string min/max lexicographic.
     """
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import block_refs, dataset_from_root
 
     num_cols = list(num_cols or [])
     str_cols = list(str_cols or [])
@@ -704,26 +700,13 @@ def profile_columns(ds, num_cols: list | None = None,
             "max_str": pa.array([r["max_str"] for r in rows], pa.string()),
         })
 
-    import ray
-
-    _EMPTY = pa.table({
-        "column": pa.array([], pa.string()),
-        "n_rows": pa.array([], pa.int64()),
-        "n_null": pa.array([], pa.int64()),
-        "min_num": pa.array([], pa.float64()),
-        "max_num": pa.array([], pa.float64()),
-        "min_str": pa.array([], pa.string()),
-        "max_str": pa.array([], pa.string()),
-    })
-
-    ref = coalesce_reduce(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        _merge, None, materialize=False,
+    # all-empty input: the root block is an empty report
+    empty = pa.schema([
+        ("column", pa.string()), ("n_rows", pa.int64()), ("n_null", pa.int64()),
+        ("min_num", pa.float64()), ("max_num", pa.float64()),
+        ("min_str", pa.string()), ("max_str", pa.string()),
+    ])
+    return dataset_from_root(
+        block_refs(ds.map_batches(_partial, batch_format="pyarrow")),
+        _merge, schema=empty,
     )
-
-    @ray.remote
-    def _norm(t):
-        # all-empty input: the tree root resolves to None
-        return t if t is not None else _EMPTY
-
-    return rd.from_arrow_refs([_norm.remote(ref)])

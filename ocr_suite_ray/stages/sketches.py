@@ -268,7 +268,7 @@ def heavy_hitters(ds, col: str, k: int = 25, capacity: int = 256,
     """
     import pyarrow.compute as pc
 
-    from ocr_suite_ray.state.dupset import coalesce_reduce, dataset_from_root
+    from ocr_suite_ray.state.dupset import block_refs, dataset_from_root
 
     def _partial(t: pa.Table) -> pa.Table:
         c = t[col]
@@ -304,10 +304,8 @@ def heavy_hitters(ds, col: str, k: int = 25, capacity: int = 256,
         )
         return body.take(order[:k]).select(["item", "n"])
 
-    ref = coalesce_reduce(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        _merge, _finish, materialize=False,
-    )
     return dataset_from_root(
-        ref, pa.schema([pa.field("item", pa.string()), pa.field("n", pa.int64())])
+        block_refs(ds.map_batches(_partial, batch_format="pyarrow")),
+        _merge, _finish,
+        pa.schema([pa.field("item", pa.string()), pa.field("n", pa.int64())]),
     )

@@ -14,6 +14,7 @@ int64 so DuckDB oracles hash-match (see pipelines/queries.py).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
@@ -615,6 +616,13 @@ def gopher_signals(batch: pa.Table) -> pa.Table:
     )
 
 
+def _keyed_sum(t: pa.Table, key: str, val: str) -> pa.Table:
+    g = t.group_by(key).aggregate([(val, "sum")])
+    # select by NAME first: pyarrow group_by output order has changed
+    # across releases, so a bare positional rename is fragile
+    return g.select([key, f"{val}_sum"]).rename_columns([key, val])
+
+
 def _tree_keyed_sum(partials_ds, key: str, val: str):
     """Remote tree merge of (key, val) partial tables — the vocab-table
     reduce. Replaces ``groupby(key).aggregate(Sum)``: Ray's AggregateFn
@@ -623,13 +631,8 @@ def _tree_keyed_sum(partials_ds, key: str, val: str):
     C hash aggregate, and the root holds the vocabulary-sized table."""
     from ocr_suite_ray.state.dupset import coalesce_reduce
 
-    def _merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(key).aggregate([(val, "sum")])
-        # select by NAME first: pyarrow group_by output order has changed
-        # across releases, so a bare positional rename is fragile
-        return g.select([key, f"{val}_sum"]).rename_columns([key, val])
-
-    return coalesce_reduce(partials_ds, _merge, None, materialize=False)
+    merge = functools.partial(_keyed_sum, key=key, val=val)
+    return coalesce_reduce(partials_ds, merge, None, materialize=False)
 
 
 def _token_count_partial(text_col: str):
@@ -659,25 +662,15 @@ def token_frequencies(ds, text_col: str, top_k: int = 100):
     partials, and the final sort+limit runs over the vocabulary-sized
     aggregate, never the corpus. Deterministic tie-break: (n desc, token
     asc)."""
+    from ocr_suite_ray.state.dupset import block_refs, dataset_from_root
+
     _partial = _token_count_partial(text_col)
-
-    import ray
-    import ray.data as rd
-
-    ref = _tree_keyed_sum(
-        ds.map_batches(_partial, batch_format="pyarrow"), "tok", "n"
+    # an all-empty corpus gives an empty (tok, n) block
+    agg = dataset_from_root(
+        block_refs(ds.map_batches(_partial, batch_format="pyarrow")),
+        functools.partial(_keyed_sum, key="tok", val="n"),
+        schema=pa.schema([("tok", pa.string()), ("n", pa.int64())]),
     )
-    # coalesce_reduce(materialize=False) always hands back an ObjectRef;
-    # it is the ref's VALUE that is None on an all-empty corpus, and
-    # from_arrow_refs on a None block crashes in schema extraction (the
-    # guard narrow_grouped_sum documents) — check the resolution with a
-    # tiny remote probe, never the ref identity
-    if ref is None or ray.get(ray.remote(lambda t: t is None).remote(ref)):
-        agg = rd.from_arrow(
-            pa.table({"tok": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
-        )
-    else:
-        agg = rd.from_arrow_refs([ref])
 
     def _order(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.sort_values(["n", "tok"], ascending=[False, True])
@@ -1263,11 +1256,13 @@ def bm25_rank(
     candidate blocks (``cpu_chunks``: one chunk per CPU at most) scores
     each block against that table, summing each doc's contributions in
     (row, first-occurrence term) order, and keeps one top-k; a tree merge
-    of k-row tables picks the result. The corpus never shuffles.
+    of k-row tables picks the result, or the driver takes the one task's
+    top-k when there is one chunk. The corpus never shuffles.
     Reference analogue: the viewer's ``find_text`` ranked search
     (src/viewer/search.h) upgraded from LIKE-match to relevance ranking.
     """
     import pyarrow.compute as pc
+    import ray
 
     from ocr_suite_ray.state.dupset import (
         block_refs,
@@ -1306,11 +1301,11 @@ def bm25_rank(
     refs = block_refs(ds.map_batches(_candidates, batch_format="pyarrow"))
     stats_ref = tree_reduce_refs(refs, _bm25_stats, materialize=False)
     score = remote_fn(_bm25_score_blocks)
-    out = tree_reduce_refs(
-        [score.remote(stats_ref, k1, b, top_k, *c) for c in cpu_chunks(refs)],
-        lambda t: _bm25_topk(t, top_k),
-        materialize=True,
-    )
+    leaves = [score.remote(stats_ref, k1, b, top_k, *c) for c in cpu_chunks(refs)]
+    if len(leaves) == 1:  # the one leaf is the top-k already
+        out = ray.get(leaves[0])
+    else:
+        out = tree_reduce_refs(leaves, lambda t: _bm25_topk(t, top_k))
     if out is None:
         return pa.table(
             {id_col: pa.array([], pa.int64()), "bm25_e4": pa.array([], pa.int64())}
@@ -1523,6 +1518,43 @@ def tfidf_top_terms(
     return ds.map_batches(_score, batch_format="pyarrow")
 
 
+def _bpe_learn(tbl, n_merges: int) -> list:
+    """The ``n_merges`` BPE merges of a (tok, n) word-count table."""
+    if tbl is None or not len(tbl):
+        return []
+    toks = tbl["tok"].to_pylist()
+    ns = tbl["n"].to_pylist()
+    words = {t: (tuple(t), n) for t, n in zip(toks, ns) if t}
+    merges: list = []
+    for _ in range(n_merges):
+        pair_counts: dict = {}
+        for sym, (seq, n) in words.items():
+            for a, b in zip(seq, seq[1:]):
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
+        if not pair_counts:
+            break
+        best = max(pair_counts.items(), key=lambda kv: (kv[1], kv[0]))
+        # deterministic: max count, then lexicographically LAST pair
+        # (any fixed order works; it must only be mirrored by oracles)
+        pair = best[0]
+        merges.append(pair)
+        merged = pair[0] + pair[1]
+        new_words = {}
+        for sym, (seq, n) in words.items():
+            out = []
+            i = 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            new_words[sym] = (tuple(out), n)
+        words = new_words
+    return merges
+
+
 def bpe_train_ref(ds, text_col: str = "text", n_merges: int = 64):
     """Learn ``n_merges`` BPE merges from the corpus, returning an ObjectRef
     to the ordered merge list (list of (left, right) symbol pairs).
@@ -1536,50 +1568,13 @@ def bpe_train_ref(ds, text_col: str = "text", n_merges: int = 64):
     driver holds only the ObjectRef. Deterministic: ties on pair count
     break lexicographically.
     """
-    import ray
-    _partial = _token_count_partial(text_col)
+    from ocr_suite_ray.state.dupset import remote_fn
 
+    _partial = _token_count_partial(text_col)
     counts_ref = _tree_keyed_sum(
         ds.map_batches(_partial, batch_format="pyarrow"), "tok", "n"
     )
-
-    @ray.remote
-    def _learn(tbl):
-        if tbl is None or not len(tbl):
-            return []
-        toks = tbl["tok"].to_pylist()
-        ns = tbl["n"].to_pylist()
-        words = {t: (tuple(t), n) for t, n in zip(toks, ns) if t}
-        merges: list = []
-        for _ in range(n_merges):
-            pair_counts: dict = {}
-            for sym, (seq, n) in words.items():
-                for a, b in zip(seq, seq[1:]):
-                    pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
-            if not pair_counts:
-                break
-            best = max(pair_counts.items(), key=lambda kv: (kv[1], kv[0]))
-            # deterministic: max count, then lexicographically LAST pair
-            # (any fixed order works; it must only be mirrored by oracles)
-            pair = best[0]
-            merges.append(pair)
-            merged = pair[0] + pair[1]
-            new_words = {}
-            for sym, (seq, n) in words.items():
-                out = []
-                i = 0
-                while i < len(seq):
-                    if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
-                        out.append(merged)
-                        i += 2
-                    else:
-                        out.append(seq[i])
-                        i += 1
-                new_words[sym] = (tuple(out), n)
-            words = new_words
-        return merges
-
-    return _learn.remote(counts_ref)
+    return remote_fn(_bpe_learn).remote(counts_ref, n_merges)
 
 
 def bpe_encode(ds, merges_ref, id_col: str = "doc_id", text_col: str = "text"):
@@ -1768,6 +1763,38 @@ def unicode_clean(ds, col: str, out_col: str | None = None):
 
     return ds.map_batches(_clean, batch_format="pyarrow")
 
+
+def _pmi_top(tbl, min_count: int, k: int) -> pa.Table:
+    """Top-``k`` (gram, n, pmi_e4) of a bigram count table, grams below
+    ``min_count`` dropped (see :func:`collocations_pmi`)."""
+    if tbl is None or tbl.num_rows == 0:  # no bigrams anywhere
+        return pa.table({
+            "gram": pa.array([], pa.string()),
+            "n": pa.array([], pa.int64()),
+            "pmi_e4": pa.array([], pa.int64()),
+        })
+    grams = tbl["gram"].to_pandas()
+    n = tbl["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+    split = grams.str.split(" ", n=1)
+    prev = split.str[0].to_numpy()
+    cur = split.str[1].to_numpy()
+    nf = n.astype(np.float64)
+    cl = pd.Series(nf).groupby(prev).sum()
+    cr = pd.Series(nf).groupby(cur).sum()
+    total = nf.sum()
+    # ops order mirrors the SQL twin: ((N * n) / cl) / cr, all float64
+    ratio = ((total * nf) / cl.reindex(prev).to_numpy()) \
+        / cr.reindex(cur).to_numpy()
+    pmi_e4 = np.floor(np.log(ratio) * 10000 + 0.5).astype(np.int64)
+    out = pd.DataFrame({"gram": grams, "n": n, "pmi_e4": pmi_e4})
+    out = out[out["n"] >= min_count]
+    out = out.sort_values(["pmi_e4", "gram"], ascending=[False, True],
+                          kind="mergesort").head(k)
+    return pa.Table.from_pandas(
+        out.reset_index(drop=True), preserve_index=False
+    ).replace_schema_metadata(None)
+
+
 def collocations_pmi(ds, text_col: str = "text", min_count: int = 5,
                      k: int = 50):
     """Top-k bigram collocations by pointwise mutual information — the
@@ -1784,40 +1811,9 @@ def collocations_pmi(ds, text_col: str = "text", min_count: int = 5,
     task over that table — the corpus is read exactly once and nothing
     corpus-sized crosses an exchange.
     """
-    import ray
     import ray.data as rd
 
+    from ocr_suite_ray.state.dupset import remote_fn
+
     ref = bigram_count_ref(ds, text_col)
-
-    _EMPTY = pa.table({
-        "gram": pa.array([], pa.string()),
-        "n": pa.array([], pa.int64()),
-        "pmi_e4": pa.array([], pa.int64()),
-    })
-
-    @ray.remote
-    def _pmi(tbl) -> pa.Table:
-        if tbl is None or tbl.num_rows == 0:  # no bigrams anywhere
-            return _EMPTY
-        grams = tbl["gram"].to_pandas()
-        n = tbl["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-        split = grams.str.split(" ", n=1)
-        prev = split.str[0].to_numpy()
-        cur = split.str[1].to_numpy()
-        nf = n.astype(np.float64)
-        cl = pd.Series(nf).groupby(prev).sum()
-        cr = pd.Series(nf).groupby(cur).sum()
-        total = nf.sum()
-        # ops order mirrors the SQL twin: ((N * n) / cl) / cr, all float64
-        ratio = ((total * nf) / cl.reindex(prev).to_numpy()) \
-            / cr.reindex(cur).to_numpy()
-        pmi_e4 = np.floor(np.log(ratio) * 10000 + 0.5).astype(np.int64)
-        out = pd.DataFrame({"gram": grams, "n": n, "pmi_e4": pmi_e4})
-        out = out[out["n"] >= min_count]
-        out = out.sort_values(["pmi_e4", "gram"], ascending=[False, True],
-                              kind="mergesort").head(k)
-        return pa.Table.from_pandas(
-            out.reset_index(drop=True), preserve_index=False
-        ).replace_schema_metadata(None)
-
-    return rd.from_arrow_refs([_pmi.remote(ref)])
+    return rd.from_arrow_refs([remote_fn(_pmi_top).remote(ref, min_count, k)])

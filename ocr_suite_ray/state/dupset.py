@@ -83,6 +83,18 @@ def _merge(combine_fn, final_fn, *tables):
     return final_fn(t) if final_fn is not None else t
 
 
+def _tree_top(refs: list, combine_fn) -> list:
+    """``refs`` merged level by level until at most ``_FANIN`` remain: the
+    inputs of the root merge."""
+    merge = remote_fn(_merge)
+    while len(refs) > _FANIN:
+        refs = [
+            merge.remote(combine_fn, None, *refs[i : i + _FANIN])
+            for i in range(0, len(refs), _FANIN)
+        ]
+    return refs
+
+
 def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = True):
     """Tree-reduce a list of ObjectRefs to Arrow tables with remote tasks —
     the ref-level core of ``coalesce_reduce`` (see its contract); also used
@@ -90,13 +102,7 @@ def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = 
     ramp for small narrow reductions."""
     import ray
 
-    merge = remote_fn(_merge)
-    while len(refs) > _FANIN:
-        refs = [
-            merge.remote(combine_fn, None, *refs[i : i + _FANIN])
-            for i in range(0, len(refs), _FANIN)
-        ]
-    root = merge.remote(combine_fn, final_fn, *refs)
+    root = remote_fn(_merge).remote(combine_fn, final_fn, *_tree_top(refs, combine_fn))
     return ray.get(root) if materialize else root
 
 
@@ -129,7 +135,12 @@ def cpu_chunks(items: list) -> list:
     return [items[i * m // n : (i + 1) * m // n] for i in range(n)]
 
 
-def _or_empty(t, schema):
+def root_block(schema, combine_fn, final_fn, *tables):
+    """The ``_merge`` of ``tables`` as a Dataset block: a ``None`` or
+    zero-row result becomes an empty table of ``schema`` (a ``None``
+    result a zero-column table when ``schema`` is ``None``), since
+    ``from_arrow_refs`` crashes on a ``None`` block."""
+    t = _merge(combine_fn, final_fn, *tables)
     if t is not None and (t.num_rows or schema is None):
         return t
     return schema.empty_table() if schema is not None else pa.table({})
@@ -149,17 +160,19 @@ def block_refs(ds) -> list:
     return refs_and_rows(ds)[0]
 
 
-def dataset_from_root(root, schema: "pa.Schema | None" = None):
-    """One-block Dataset over a tree-reduce root ref. The root resolves to
-    ``None`` when every input block was empty (``tree_reduce_refs``'s
-    contract), and ``from_arrow_refs`` would crash on a ``None`` block — so
-    a worker task swaps a ``None`` or zero-row root for an empty table of
-    the declared ``schema`` (a ``None`` root becomes a zero-column table
-    when none is declared). The root's rows never pass through the
-    driver."""
+def dataset_from_root(refs: list, combine_fn, final_fn=None,
+                      schema: "pa.Schema | None" = None):
+    """One-block Dataset over the ``tree_reduce_refs`` root of ``refs``,
+    whose root task is :func:`root_block`: an all-empty input gives an
+    empty table of ``schema`` with no extra task. Serial tasks per call:
+    the tree's levels (one for at most 32 refs) and ``from_arrow_refs``'
+    metadata task. The root's rows never pass through the driver."""
     import ray.data as rd
 
-    return rd.from_arrow_refs([remote_fn(_or_empty).remote(root, schema)])
+    root = remote_fn(root_block).remote(
+        schema, combine_fn, final_fn, *_tree_top(refs, combine_fn)
+    )
+    return rd.from_arrow_refs([root])
 
 
 def coalesce_reduce(ds, combine_fn, final_fn=None, materialize: bool = True):

@@ -438,3 +438,174 @@ def test_search_over_more_files_than_fanin(ray_session, tmp_path):
         assert want, pattern
         assert search_extracted(d, pattern).take_all() == want
         assert _got_hierarchy(search_hierarchy(d, pattern)) == _want_hierarchy(d, pattern)
+
+
+# ------------------------------------------------- literal match and lookups
+
+# near misses a pattern read as a regex would match: "aXb" for "a.b", ...
+_LITERAL_TEXTS = [
+    "lit a.b here", "near aXb miss", "star x*y ok", "xxy xy only",
+    "plus p+q and pq", "ppq", "opt r?s", "rs only", "call f(e) now", "fe",
+    "set [f] end", "f alone", "brace {g} x", "ggg", "anchor ^h$ mid", "h",
+    "alt i|j or", "i or j", "back \\E slash", "E only", "two a\\b c",
+    "tab\there", "tab here", "naïve café", "naive cafe", "Ünïcode ok",
+]
+_LITERAL_PATTERNS = [
+    "a.b", "x*y", "p+q", "r?s", "f(e)", "[f]", "{g}", "^h$", "i|j",
+    ". * + ? ( ) [ ] { } ^ $ |", " \\E", "a\\b", "\\E slash", "\there",
+    "b\th", " caf", "ïve café", "Ünï", "never-in-any-text",
+]
+
+
+def _write_text_store(d, texts, n_files):
+    """``texts`` dealt round-robin into ``n_files`` final-store shards."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    os.makedirs(d, exist_ok=True)
+    base = dt.datetime(2024, 5, 2, 7, 0)
+    for f in range(n_files):
+        rows = list(range(f, len(texts), n_files))
+        pq.write_table(pa.table({
+            "url": [f"https://lit.example/{i}" for i in rows],
+            "warc_ts": pa.array([base + dt.timedelta(minutes=7 * i) for i in rows],
+                                pa.timestamp("us")),
+            "text": pa.array([texts[i] for i in rows], pa.large_string()),
+            "n_blocks_kept": pa.array([i % 3 for i in rows], pa.int32()),
+            "status": ["ok"] * len(rows),
+        }), os.path.join(d, f"uniq-{f:03d}.parquet"))
+    return d
+
+
+def test_literal_match_parity_with_match_substring(ray_session, tmp_path):
+    """Search, hierarchy and find_text treat the pattern as a literal:
+    regex metacharacters, a backslash and ``\\E``, a tab, a space and
+    non-ASCII letters match exactly where ``pc.match_substring`` does."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.search import find_text
+
+    d = _write_text_store(str(tmp_path / "final"), _LITERAL_TEXTS, 3)
+    texts = pa.array(_LITERAL_TEXTS, pa.large_string())
+    ds = rd.from_arrow(pa.table({"doc_id": list(range(len(texts))), "text": texts}))
+    for p in _LITERAL_PATTERNS:
+        want_ids = pc.indices_nonzero(pc.match_substring(texts, p)).to_pylist()
+        got = search_extracted(d, p).take_all()
+        assert got == _want_search(d, p), p
+        assert sorted(int(r["url"].rsplit("/", 1)[1]) for r in got) == want_ids, p
+        assert _got_hierarchy(search_hierarchy(d, p)) == _want_hierarchy(d, p), p
+        assert sorted(r["doc_id"] for r in find_text(ds, p).take_all()) == want_ids, p
+    assert not pc.any(pc.match_substring(texts, _LITERAL_PATTERNS[-1])).as_py()
+
+
+def _write_pages(d, name, rows):
+    """One pages-store file of ``(url, minute, html)`` rows."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    os.makedirs(d, exist_ok=True)
+    base = dt.datetime(2024, 1, 1)
+    pq.write_table(pa.table({
+        "url": [u for u, _, _ in rows],
+        "warc_ts": pa.array([base + dt.timedelta(minutes=m) for _, m, _ in rows],
+                            pa.timestamp("us")),
+        "html": pa.array([h for _, _, h in rows], pa.binary()),
+    }), os.path.join(d, name))
+
+
+def test_fetch_payload_every_capture_across_files_newest_first(tmp_path):
+    """A url captured in several pages files comes back once per capture,
+    newest first; the result equals a one-phase read of the whole store."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
+    from ocr_suite_ray.pipelines.search import fetch_payload
+
+    d = str(tmp_path / "pages")
+    _write_pages(d, "a.parquet", [("u/1", 1, b"one"), ("u/2", 2, b"x")])
+    _write_pages(d, "b.parquet", [("u/3", 3, b"y"), ("u/1", 9, b"nine")])
+    _write_pages(d, "c.parquet", [("u/1", 5, b"five"), ("u/4", 4, b"z")])
+    t = fetch_payload(d, "u/1")
+    assert t["html"].to_pylist() == [b"nine", b"five", b"one"]
+    whole = pads.dataset(d).to_table(filter=pc.field("url") == "u/1")
+    whole = whole.take(pc.sort_indices(whole, sort_keys=[("warc_ts", "descending")]))
+    assert t.equals(whole)
+    # columns= projects; without warc_ts the captures keep store order
+    p = fetch_payload(d, "u/1", columns=["html"])
+    assert p.column_names == ["html"]
+    assert p["html"].to_pylist() == [b"one", b"nine", b"five"]
+    assert fetch_payload(d, "u/3", columns=["warc_ts", "url"]).column_names == [
+        "warc_ts", "url"
+    ]
+
+
+def test_fetch_payload_absent_url(ray_session, small_corpus, final_store):
+    """An absent url gives zero rows of the store schema (projected by
+    ``columns=``), and view_document raises KeyError."""
+    import pyarrow.dataset as pads
+
+    from ocr_suite_ray.pipelines.search import fetch_payload, view_document
+
+    pages_dir, _ = small_corpus
+    final, _ = final_store
+    t = fetch_payload(pages_dir, "https://absent.example/x")
+    assert t.num_rows == 0 and t.schema == pads.dataset(pages_dir).schema
+    p = fetch_payload(final, "https://absent.example/x", columns=["url", "text"])
+    assert p.num_rows == 0 and p.column_names == ["url", "text"]
+    with pytest.raises(KeyError):
+        view_document(pages_dir, final, "https://absent.example/x")
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_search_results_independent_of_chunking(ray_session, tmp_path, monkeypatch, cpus):
+    """One scan chunk (the scan task is the root) and four (a root merge
+    over the leaves) give the same rows and schema, for a zero-hit
+    pattern too."""
+    from ocr_suite_ray.pipelines.search import SEARCH_SCHEMA
+    from ocr_suite_ray.stages.search import HIERARCHY_SCHEMA
+    from ocr_suite_ray.state import dupset
+
+    d = _write_store(str(tmp_path / "final"), 6, 9, null_ts=[(2, 4)])
+    monkeypatch.setattr(dupset, "cluster_cpus", lambda: cpus)
+    assert len(dupset.cpu_chunks(list(range(6)))) == cpus
+    for pattern in ("capture", "alpha beta", "zqxjkv"):
+        hits = search_extracted(d, pattern)
+        assert hits.take_all() == _want_search(d, pattern)
+        assert hits.schema().base_schema == SEARCH_SCHEMA
+        tree = search_hierarchy(d, pattern)
+        assert _got_hierarchy(tree) == _want_hierarchy(d, pattern)
+        assert tree.schema().base_schema == HIERARCHY_SCHEMA
+        if pattern == "zqxjkv":
+            assert hits.take_all() == [] and tree.take_all() == []
+    rows = search_hierarchy(d, "capture").take_all()
+    keys = [(r["day"], r["hour"], r["minute"]) for r in rows]
+    # tree order: (day, hour, minute) ascending, the null group last
+    assert keys[-1] == (None, None, None) and keys[:-1] == sorted(keys[:-1])
+
+
+def test_bm25_rank_one_leaf_equals_several(ray_session, monkeypatch):
+    """With one score task the driver takes its top-k; with several a
+    tree merge picks it: the same rows either way."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.text_ops import bm25_rank
+    from ocr_suite_ray.state import dupset
+
+    n = 300
+    texts = _bm25_rows(n, 13)
+    t = pa.table({"doc_id": list(range(n)), "text": texts})
+    want = _bm25_oracle(list(range(n)), texts, ["boiler", "noise"], 12)
+    got = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(dupset, "cluster_cpus", lambda c=cpus: c)
+        ds = rd.from_arrow([t.slice(i, 50) for i in range(0, n, 50)])
+        r = bm25_rank(ds, ["boiler", "noise"], top_k=12)
+        got[cpus] = list(zip(r["doc_id"].to_pylist(), r["bm25_e4"].to_pylist()))
+    assert got[1] == got[4] == want

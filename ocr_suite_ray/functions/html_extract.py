@@ -7,22 +7,33 @@ pixel boxes + confidence, each span is a char-offset interval into the
 extracted text with a block kind.
 
 Algorithm (public Boilerpipe/Readability heuristics, no external parser —
-stdlib ``html.parser`` only, pinned by the Python version):
+one stdlib ``re`` grammar, checked against stdlib ``html.parser``, both
+pinned by the Python version):
 
-1. Flat block segmentation: walk the token stream; block-level tags
+1. Flat block segmentation: tokenize the page with one ``findall`` of the
+   ``_TOKEN`` grammar and walk the tokens; block-level tags
    (p/h*/li/td/div/...) open a new block, text nodes accumulate into the
    current block, ``<a>`` text additionally accumulates into the block's
    link-char counter. ``<script>``/``<style>`` content is skipped.
 2. Per-block features: word count (words = tokens with >= MIN_WORD_CHARS
    alphanumeric chars, the analogue of ``min_letters_threshold_ = 3``,
    ``include/ocs/recognition/provider/provider.h:26``) and link density
-   (link chars / total chars).
+   (link chars / total chars). Words are counted on the block's ASCII
+   alphanumeric tokens first; only a block with fewer than MIN_WORDS of
+   those runs the exact ``_WORD_OK`` regex.
 3. Classification: keep a block iff it is the <title>, OR
    (link_density <= MAX_LINK_DENSITY and word_count >= MIN_WORDS).
    Nav bars and footers have link density near 1.0 and are dropped;
    real paragraphs keep their occasional inline link.
 4. Assembly: kept blocks joined by "\n\n"; spans recorded as
    (start, stop, kind) over the final string.
+
+Every page takes the one grammar path, truncated and malformed pages
+included, and each character is tokenized once: no construct needs a
+positional scan. Whether a ``<script …/>`` or ``<style …/>`` is
+self-closing (so no CDATA follows it) is decided inside the grammar by
+html.parser's attribute walk, so ``<script src=a/>``, whose ``/`` ends an
+unquoted value, opens CDATA like ``<script>``.
 
 Determinism: pure function of the input bytes — no dict-order dependence
 (blocks kept in document order), no float formatting, charset fallback fixed
@@ -33,9 +44,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from html import unescape
 from html.parser import HTMLParser
 
-from ocr_suite_ray.functions.textnorm import collapse_ws, decode_bytes, nfc  # noqa: F401
+from ocr_suite_ray.functions.textnorm import decode_bytes, nfc
 from ocr_suite_ray.schemas import (
     KIND_HEADING,
     KIND_LIST,
@@ -70,323 +82,232 @@ _KIND_BY_TAG = {
 
 @dataclass
 class Block:
+    """A text block: the oracle's open block. A flushed block is the plain
+    tuple ``(kind, chunks, link_chars, total_chars)``."""
+
     kind: str
     chunks: list
     link_chars: int = 0
     total_chars: int = 0
 
-    def text(self) -> str:
-        # NFC applied per block (not to the whole raw document): segmentation
-        # is normalization-invariant and the blocks are a small fraction of
-        # the input bytes
-        return nfc(collapse_ws("".join(self.chunks)))
 
-
-# --- fast scanner tokenizer --------------------------------------------------
+# --- tokenizer ---------------------------------------------------------------
 #
 # stdlib html.parser is correct but allocation-heavy (incremental buffer
 # management, attribute parsing, per-construct regex dispatch) — at 28
 # concurrent parsers its string churn saturates a single box's memory bus
-# (BASELINE.md control experiment). This scanner walks the document once with
-# str.find + a handful of compiled regexes, allocating only the text slices
-# the sink actually keeps, and mimics html.parser's OBSERVABLE behavior for
-# this sink: tag open/close events, charref-converted text, script/style as
-# CDATA until the first matching close tag, comments/declarations/PIs
-# skipped, and an unterminated construct at EOF emitted as raw data
-# (html.parser goahead(end=1) fallback). Byte-identical output vs
-# _BlockParser is enforced by tests/test_extract_functions.py on handcrafted
-# edge cases and a large synthetic corpus.
+# (BASELINE.md control experiment). Here ONE C-level ``findall`` of the
+# grammar below splits a page into tokens ``(name, rest, end name, text)``,
+# so the Python work per construct is one tuple unpack and one dict lookup.
+# The grammar mimics html.parser's OBSERVABLE behavior for this sink,
+# construct by construct (first alternative that matches wins):
+#
+#   <!-- … --\s*>                  complete comment: skipped
+#   <script …> CDATA, <style …>    a start tag that is not self-closing:
+#     CDATA                        CDATA up to the first </script\s*>
+#                                  (</style\s*>, ASCII case-insensitive); no
+#                                  close = dead to EOF
+#   <name rest>                    start tag: (name, rest)
+#   </name …>                      end tag: strict </\s*name\s*> or a name
+#                                  with junk up to '>' (</div foo> closes div)
+#   </…>, <!…>, <?…>               bogus end tag, declaration, PI: skipped
+#   text                           a run of non-'<' chars
+#   <!-- … > (no close)            EOF-incomplete constructs, emitted as raw
+#   <…  (no '>' after, '<' later)  data like html.parser's goahead(end=1):
+#   <                              data up to the next '>' / next '<' / one
+#                                  char; a bare '<' is data too
+#
+# Self-closing is html.parser's parse_starttag rule: after its
+# tagfind_tolerant name and attrfind_tolerant attribute walk, the rest of
+# the tag strips to '/>'. _ATTRS writes that walk into the grammar, so the
+# CDATA alternative passes over a self-closed <script/>, and the walk
+# checks any other tag ending in '/' with _SELF_CLOSED. A bare
+# trailing-'/' check would misread an unquoted value ending in '/'
+# (<a href=http://x.y/>) as self-closing, which never increments
+# link_depth and breaks link-density dropping.
+#
+# Every data token is one chunk in the block, as html.parser reports it
+# (the per-chunk stripped lengths feed total_chars). Byte-identical output
+# vs _BlockParser is enforced by tests/test_extract_functions.py and
+# tests/test_fuzz.py.
+#
+# Memory: findall materializes the page's token list before the walk, about
+# 140 B per construct (a 4-tuple and its strings): 5.4 MB for a 1 MiB page
+# of the synthetic corpus, freed when the page is done.
 #
 # Known divergence (documented, absent from crawls our heuristics target):
 # a '>' INSIDE a quoted attribute value ends the tag early here;
 # html.parser's quote-aware scan does not.
 
-_TAGNAME = re.compile(r"[a-zA-Z][^\t\n\r\f />\x00]*")
-_ENDTAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*+"   # html.parser tagfind_tolerant name
 
-# noscript/template: parsed as normal markup but every event inside is
-# suppressed (the oracle's _SKIP_TAGS minus the CDATA pair, which the
-# scanner handles by jumping to the close tag)
-_SKIP_NOCDATA = frozenset({"noscript", "template"})
+# What html.parser's parse_starttag consumes after the name: the rest of
+# tagfind_tolerant, then attrfind_tolerant matched again while it matches.
+# The possessive repeat takes each attribute's first match and never gives
+# one back, as the stdlib loop does. Quoted values stop at '>' because a
+# tag ends at its first '>' here (the quoted-'>' divergence above); with
+# that bound no part of the walk crosses a '>'. Pinned against the stdlib
+# regexes by tests/test_extract_functions.py.
+_ATTRS = (
+    r"(?:\s|/(?!>))*+"
+    r"""(?:(?<=['"\s/])[^\s/>][^\s/=>]*"""
+    r"""(?:\s*=+\s*(?:'[^'>]*'|"[^">]*"|(?!['"])[^>\s]*))?"""
+    r"(?:\s|/(?!>))*)*+"
+)
+# a start tag's own text (name, rest and its '>') that is self-closing
+_SELF_CLOSED = re.compile(rf"{_NAME}{_ATTRS}\s*/>")
 
-# The stdlib parser's own tolerant regexes, so the scanner's rare paths
-# (self-closing confirmation, junk-bearing end tags, comment close) are
-# html.parser-exact by construction. Pinned by the Python version like the
-# rest of the oracle; copied fallbacks keep hot-path behavior if a future
-# stdlib stops exposing them.
-try:
-    from html.parser import attrfind_tolerant as _ATTRFIND_TOL
-    from html.parser import tagfind_tolerant as _TAGFIND_TOL
-    from html.parser import commentclose as _COMMENTCLOSE
-except ImportError:  # pragma: no cover - stdlib layout change
-    _ATTRFIND_TOL = re.compile(
-        r"""((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"""
-        r"""(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*"""
+
+def _ci(tag: str) -> str:
+    # the ASCII letters of a tag name in either case: what str.lower() maps
+    # to it and what html.parser's endtagfind accepts
+    return "".join(f"[{c}{c.upper()}]" for c in tag)
+
+
+# CDATA ends at the first </script\s*> (</style\s*>), as html.parser's
+# cdata-mode search finds it; a </script junk> or </scripts> inside is
+# CDATA too
+_CDATA_CLOSE = {t: rf"</\s*{_ci(t)}\s*>" for t in ("script", "style")}
+
+
+def _cdata(tag: str) -> str:
+    # a start tag that is not self-closing, then its CDATA; no close = dead
+    # to EOF
+    return (
+        rf"{_ci(tag)}(?![^\t\n\r\f />\x00]){_ATTRS}(?!\s*/>)[^>]*+>"
+        rf"(?:.*?{_CDATA_CLOSE[tag]}|.*)"
     )
-    _TAGFIND_TOL = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
-    _COMMENTCLOSE = re.compile(r"--\s*>")
-_CDATA_CLOSE = {
-    "script": re.compile(r"</\s*script", re.IGNORECASE),
-    "style": re.compile(r"</\s*style", re.IGNORECASE),
-}
 
-# Master event pattern: ONE C-level search per construct replaces the
-# find('<') + next-char classify + per-kind regex sequence (each tag
-# previously cost ~4-6 C calls plus slice allocations; at ~125 events per
-# document the dispatch overhead was the biggest single kernel line item).
-# Alternatives mirror html.parser's classification exactly; a '<' that
-# starts no construct matches with all groups None (literal-data event).
-# Group 1: comment open; 2: full end tag name; 3: bogus end-tag slash;
-# 4: start tag name; 5: declaration/PI marker.
-_EVENT = re.compile(
-    r"<(?:(!--)"
-    r"|/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"
-    r"|(/)"
-    r"|([a-zA-Z][^\t\n\r\f />\x00]*)"
-    r"|([!?])"
-    r")?"
+
+_TOKEN = re.compile(
+    r"<(?:!--.*?--\s*>"
+    rf"|{_cdata('script')}|{_cdata('style')}"
+    rf"|({_NAME})([^>]*+)>"
+    r"|/(?:\s++(?=[a-zA-Z][-.a-zA-Z0-9:_]*+\s*>))?"
+    rf"([a-zA-Z][-.a-zA-Z0-9:_]*+(?=\s*>)|{_NAME})[^>]*+>"
+    r"|/[^>]*+>"
+    r"|(?!!--)[!?][^>]*+>)"
+    r"|([^<]+|<!--[^>]*+>|<[a-zA-Z/!?][^<]*+(?=<)|<)",
+    re.S,
 )
 
+# Tag-name dispatch of the walk: one dict lookup per tag. A block start tag
+# maps to its block kind; every other tag to an action. script/style start
+# tags reach the walk only self-closed, which is no event, so they have no
+# entry.
+_BR, _LINK, _SKIP, _FLUSH = (object() for _ in range(4))
+_START = {
+    **{t: _KIND_BY_TAG.get(t, KIND_PARAGRAPH) for t in _BLOCK_TAGS},
+    "a": _LINK,
+    "br": _BR,
+    "noscript": _SKIP,
+    "template": _SKIP,
+}
+# an end tag of the full skip set decrements the skip depth: a matched
+# </script> never reaches the walk (the CDATA token consumes it), but an
+# UNMATCHED one does, and the oracle decrements the depth a <noscript> opened
+_END = {**{t: _FLUSH for t in _BLOCK_TAGS}, "a": _LINK,
+        **{t: _SKIP for t in _SKIP_TAGS}}
 
-def _incomplete(raw: str, i: int) -> tuple[str, int]:
-    """html.parser's end-of-input fallback for an unterminated construct:
-    emit raw data up to the next '>' (inclusive) / next '<' / one char."""
-    k = raw.find(">", i + 1)
-    if k < 0:
-        k = raw.find("<", i + 1)
-        if k < 0:
-            k = i + 1
-    else:
-        k += 1
-    return raw[i:k], k
 
-
-def _scan_blocks(raw: str) -> list[Block]:
-    """One-pass scan with the block-accumulation state INLINED as locals —
-    the ~125 tag/text events per document would otherwise each pay a Python
-    method call into an accumulator object (measured ~30% of kernel time).
+def _blocks(raw: str) -> list[tuple]:
+    """Tokenize with one ``_TOKEN.findall`` and walk the tokens with the
+    block-accumulation state INLINED as locals (a method call per token
+    into an accumulator object would cost ~30% of kernel time).
     Accumulation semantics: block-level tags open a block, text nodes
     accumulate, <a> text feeds the link-char counter (the link-density
-    feature), noscript/template content is skip-depth-suppressed — identical
-    to ``_BlockParser``'s handlers; the differential oracle test (vs stdlib
+    feature), noscript/template content is skip-depth-suppressed, a
+    self-closed tag acts only if it is <br/> — identical to
+    ``_BlockParser``'s handlers; the differential oracle test (vs stdlib
     html.parser) pins both tokenization and accumulation."""
-    from html import unescape
-
-    n = len(raw)
-    find = raw.find
-    search = _EVENT.search
-    blocks: list[Block] = []
+    start_get = _START.get
+    end_get = _END.get
+    self_closed = _SELF_CLOSED.fullmatch
+    blocks: list[tuple] = []
     link_depth = 0
     skip_depth = 0  # inside noscript/template (oracle _skip_depth)
-    cur_chunks: list | None = None  # None <=> no open block
-    cur_kind = KIND_PARAGRAPH
-    cur_link = 0
-    cur_total = 0
-    i = 0
-
-    def _fallback_data(text: str) -> None:
-        # html.parser goahead(end=1): an unterminated construct at EOF is
-        # emitted as raw DATA (no unescape). One helper instead of four
-        # copy-pasted stanzas; suppressed inside noscript/template like
-        # every other data event.
-        nonlocal cur_chunks, cur_kind, cur_link, cur_total
-        if skip_depth or not text:
-            return
-        if "&" in text:
-            # html.parser's goahead(end=1) fallback DOES unescape when
-            # convert_charrefs is on (and the cdata path never reaches EOF
-            # fallback), so raw emission here would diverge
-            text = unescape(text)
-        if cur_chunks is not None:
+    cur: list | None = None  # the open block's chunks; None <=> no block
+    kind = KIND_PARAGRAPH
+    link = 0
+    total = 0
+    for name, rest, ename, text in _TOKEN.findall(raw):
+        if text:
+            if skip_depth:
+                continue
+            if "&" in text:
+                text = unescape(text)
             sl = len(text.strip())
-            cur_chunks.append(text)
-            cur_total += sl
-            if link_depth:
-                cur_link += sl
-        elif text.strip():
-            cur_kind = KIND_PARAGRAPH
-            cur_chunks = [text]
-            cur_total = len(text.strip())
-            cur_link = cur_total if link_depth else 0
-
-    def _selfclosing(name_start: int, gt: int) -> bool:
-        # html.parser parse_starttag: a tag is self-closing iff the
-        # remainder AFTER consuming attributes strips to '/>'. A bare
-        # raw[gt-1] == '/' check misreads an unquoted attribute value
-        # ending in '/' (<a href=http://x.y/>) as self-closing, which
-        # never increments link_depth and breaks link-density dropping.
-        tm = _TAGFIND_TOL.match(raw, name_start)
-        k = tm.end() if tm is not None else name_start
-        while k < gt:
-            am = _ATTRFIND_TOL.match(raw, k)
-            if am is None:
-                break
-            k = am.end()
-        return raw[k : gt + 1].strip() == "/>"
-
-    def _end_tag_event(name: str) -> None:
-        nonlocal skip_depth, link_depth, cur_chunks
-        if name in _SKIP_TAGS:
-            # FULL skip set: a matched </script> never reaches here (the
-            # CDATA jump consumes it), but an UNMATCHED one does, and the
-            # oracle decrements the depth a <noscript> opened
-            skip_depth = max(0, skip_depth - 1)
-            return
-        if skip_depth:
-            return
-        if name == "a":
-            if link_depth:
-                link_depth -= 1
-        elif name in _BLOCK_TAGS:
-            if cur_chunks is not None and cur_total > 0:
-                blocks.append(Block(cur_kind, cur_chunks, cur_link, cur_total))
-            cur_chunks = None
-
-    while i < n:
-        m = search(raw, i)
-        lt = m.start() if m is not None else -1
-        if lt < 0 or lt > i:
-            text = raw[i:] if lt < 0 else raw[i:lt]
-            if not skip_depth:
-                if "&" in text:
-                    text = unescape(text)
-                # inline data event
-                st = text.strip()
-                if cur_chunks is not None:
-                    sl = len(st)
-                    cur_chunks.append(text)
-                    cur_total += sl
-                    if link_depth:
-                        cur_link += sl
-                elif st:
-                    sl = len(st)
-                    cur_kind = KIND_PARAGRAPH
-                    cur_chunks = [text]
-                    cur_total = sl
-                    cur_link = sl if link_depth else 0
-            if lt < 0:
-                break
-        name = m.group(4)
-        if name is not None:  # start tag (ASCII letter only —
-            # html.parser's starttagopen; unicode letters are data)
-            name = name.lower()
-            gt = find(">", lt + 1)
-            if gt < 0:
-                text, i = _incomplete(raw, lt)
-                _fallback_data(text)
-                continue
-            selfclosing = (
-                raw[gt - 1] == "/"
-                and gt - 1 > lt
-                and _selfclosing(lt + 1, gt)
-            )
-            i = gt + 1
-            if not selfclosing and name in _CDATA_CLOSE:
-                # CDATA content model: skip to the FIRST matching close tag
-                # (html.parser never reports constructs inside script/style)
-                mc = _CDATA_CLOSE[name].search(raw, i)
-                if mc is None:
-                    break  # unterminated script/style: rest is dead content
-                me = _ENDTAG.match(raw, mc.start())
-                i = me.end() if me else find(">", mc.start()) + 1 or n
-                continue
-            if name in _SKIP_NOCDATA:
-                # noscript/template: content parsed as markup but every
-                # event inside is suppressed (oracle _skip_depth)
-                if not selfclosing:
-                    skip_depth += 1
-                continue
-            if skip_depth:
-                continue
-            # inline start event (self-closed tags: only <br/> acts)
-            if name == "a":
-                if not selfclosing:
-                    link_depth += 1
-            elif name == "br":
-                if cur_chunks is not None:
-                    cur_chunks.append(" ")
-            elif not selfclosing and name in _BLOCK_TAGS:
-                if cur_chunks is not None and cur_total > 0:
-                    blocks.append(Block(cur_kind, cur_chunks, cur_link, cur_total))
-                cur_kind = _KIND_BY_TAG.get(name, KIND_PARAGRAPH)
-                cur_chunks = []
-                cur_link = 0
-                cur_total = 0
-        elif m.group(2) is not None:  # end tag (full </name> form)
-            i = m.end()
-            _end_tag_event(m.group(2).lower())
-        elif m.group(3) is not None:  # '</' not matching the strict form
-            # html.parser parse_endtag tolerant path: a letter after '</'
-            # is an end tag whose junk (attributes, garbage) runs to the
-            # next '>' (</div foo=bar> CLOSES div); otherwise the whole
-            # construct is a bogus comment, skipped to '>'
-            nm = _TAGFIND_TOL.match(raw, lt + 2)
-            if nm is not None:
-                gt = find(">", nm.end())
-                if gt < 0:
-                    text, i = _incomplete(raw, lt)
-                    _fallback_data(text)
-                else:
-                    i = gt + 1
-                    _end_tag_event(nm.group(1).lower())
-            else:
-                gt = find(">", lt + 1)
-                if gt < 0:
-                    text, i = _incomplete(raw, lt)
-                    _fallback_data(text)
-                else:
-                    i = gt + 1  # bogus end tag: ignored
-            continue
-        elif m.group(1) is not None:  # comment
-            e = _COMMENTCLOSE.search(raw, lt + 4)
-            if e is None:
-                text, i = _incomplete(raw, lt)
-                _fallback_data(text)
-                continue
-            i = e.end()  # html.parser commentclose: '--' + \s* + '>'
-        elif m.group(5) is not None:  # declaration / processing instruction
-            gt = find(">", lt + 1)
-            if gt < 0:
-                text, i = _incomplete(raw, lt)
-                _fallback_data(text)
-                continue
-            i = gt + 1
-        else:  # bare '<': literal data
-            if skip_depth:
-                pass
-            elif cur_chunks is not None:
-                cur_chunks.append("<")
-                cur_total += 1
+            if cur is not None:
+                cur.append(text)
+                total += sl
                 if link_depth:
-                    cur_link += 1
-            else:
-                cur_kind = KIND_PARAGRAPH
-                cur_chunks = ["<"]
-                cur_total = 1
-                cur_link = 1 if link_depth else 0
-            i = lt + 1
-    if cur_chunks is not None and cur_total > 0:  # close
-        blocks.append(Block(cur_kind, cur_chunks, cur_link, cur_total))
+                    link += sl
+            elif sl:
+                kind = KIND_PARAGRAPH
+                cur = [text]
+                total = sl
+                link = sl if link_depth else 0
+        elif name:
+            act = start_get(name) or start_get(name.lower())
+            if act is None:
+                continue
+            if act is _BR:
+                if cur is not None and not skip_depth:
+                    cur.append(" ")
+            elif rest[-1:] == "/" and self_closed(f"{name}{rest}>"):
+                pass  # self-closed: no event
+            elif act is _SKIP:
+                skip_depth += 1
+            elif skip_depth:
+                pass
+            elif act is _LINK:
+                link_depth += 1
+            else:  # block tag: act is its kind
+                if cur is not None and total > 0:
+                    blocks.append((kind, cur, link, total))
+                kind = act
+                cur = []
+                link = 0
+                total = 0
+        elif ename:
+            act = end_get(ename) or end_get(ename.lower())
+            if act is _SKIP:
+                skip_depth = max(0, skip_depth - 1)
+            elif skip_depth or act is None:
+                pass
+            elif act is _LINK:
+                if link_depth:
+                    link_depth -= 1
+            else:  # _FLUSH: a block end tag
+                if cur is not None and total > 0:
+                    blocks.append((kind, cur, link, total))
+                cur = None
+    if cur is not None and total > 0:  # close
+        blocks.append((kind, cur, link, total))
     return blocks
 
 
 class _BlockParser(HTMLParser):
     """Tokenizes HTML into flat text blocks with link-char accounting.
 
-    Retained as the differential ORACLE for the fast scanner above
-    (tests assert byte-identical extraction); not on the hot path."""
+    Retained as the differential ORACLE for the token walk above (tests
+    assert identical blocks and byte-identical extraction); not on the hot
+    path."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.blocks: list[Block] = []
+        self.blocks: list[tuple] = []
         self._cur: Block | None = None
         self._skip_depth = 0
         self._link_depth = 0
 
     # -- block lifecycle ---------------------------------------------------
     def _flush(self) -> None:
-        if self._cur is not None and self._cur.total_chars > 0:
-            self.blocks.append(self._cur)
+        cur = self._cur
+        if cur is not None and cur.total_chars > 0:
+            self.blocks.append(
+                (cur.kind, cur.chunks, cur.link_chars, cur.total_chars)
+            )
         self._cur = None
 
     def _open(self, tag: str) -> None:
@@ -443,19 +364,12 @@ class _BlockParser(HTMLParser):
 
 # token qualifies as a content word iff it contains >= MIN_WORD_CHARS
 # alphanumeric characters ([^\W_] == unicode letters+digits). ONE C-speed
-# scan per block instead of a Python loop with a regex match per token (was
-# ~25% of kernel time): a match starts at a token boundary ((?<![^ ]) — the
-# text is already whitespace-collapsed, so tokens are single-space
-# separated) and consumes non-alnum filler ([^\w ]|_ == [\W_] minus the
-# separator) between the required alphanumerics, never crossing a space.
+# scan per block: a match starts at a token boundary ((?<![^ ]) — the text
+# is already whitespace-collapsed, so tokens are single-space separated) and
+# consumes non-alnum filler ([^\w ]|_ == [\W_] minus the separator) between
+# the required alphanumerics, never crossing a space. _assemble runs it only
+# on blocks its token count cannot decide.
 _WORD_OK = re.compile(r"(?<![^ ])(?:(?:[^\w ]|_)*[^\W_ ]){%d}" % MIN_WORD_CHARS)
-
-
-def _word_count(text: str) -> int:
-    n = 0
-    for _ in _WORD_OK.finditer(text):
-        n += 1
-    return n
 
 
 def _has_min_words(text: str) -> bool:
@@ -470,28 +384,18 @@ def _has_min_words(text: str) -> bool:
     return False
 
 
-def classify(block: Block, text: str) -> bool:
-    """Content-vs-boilerplate decision for one block."""
-    if not text:
-        return False
-    if block.kind == KIND_TITLE:
-        return True
-    link_density = (block.link_chars / block.total_chars) if block.total_chars else 1.0
-    return link_density <= MAX_LINK_DENSITY and _has_min_words(text)
-
-
 def extract_html(payload: bytes) -> dict:
     """bytes → {text, spans, n_blocks_kept, n_blocks_dropped}.
 
     Raises on undecodable garbage only via explicit checks upstream; the
-    scanner itself is total (never raises on malformed markup)."""
+    tokenizer itself is total (never raises on malformed markup)."""
     raw, _charset = decode_bytes(payload)
-    return _assemble(_scan_blocks(raw))
+    return _assemble(_blocks(raw))
 
 
 def extract_html_oracle(payload: bytes) -> dict:
     """Reference implementation over stdlib html.parser — the differential
-    oracle for the fast scanner (tests byte-diff the two)."""
+    oracle for the token walk (tests byte-diff the two)."""
     raw, _charset = decode_bytes(payload)
     parser = _BlockParser()
     parser.feed(raw)
@@ -504,31 +408,36 @@ def _assemble(blocks: list) -> dict:
     spans: list[tuple[int, int, str]] = []
     kept = dropped = 0
     pos = 0
-    for block in blocks:
+    for kind, chunks, link_chars, total_chars in blocks:
         # drop-by-link-density BEFORE normalizing: nav/footer blocks never
-        # pay collapse_ws+nfc. Sound because every flushed block has
-        # total_chars > 0, which guarantees non-empty normalized text (the
-        # old `elif text: dropped += 1` was always true for them).
-        if block.kind != KIND_TITLE:
-            ld = (
-                (block.link_chars / block.total_chars) if block.total_chars else 1.0
-            )
-            if ld > MAX_LINK_DENSITY:
-                dropped += 1
-                continue
-            text = block.text()
-            if not _has_min_words(text):
-                if text:
+        # pay the join and split. Every flushed block has total_chars > 0,
+        # so its normalized text is never empty.
+        if kind != KIND_TITLE and link_chars / total_chars > MAX_LINK_DENSITY:
+            dropped += 1
+            continue
+        # NFC applied per block (not to the whole raw document):
+        # segmentation is normalization-invariant and the blocks are a
+        # small fraction of the input bytes
+        toks = "".join(chunks).split()
+        text = nfc(" ".join(toks))
+        if kind != KIND_TITLE:
+            # an ASCII token of >= MIN_WORD_CHARS alphanumerics is a word
+            # under _WORD_OK too (NFC leaves it alone), so MIN_WORDS of them
+            # decide the block; with fewer, the exact regex decides
+            need = MIN_WORDS
+            for t in toks:
+                if len(t) >= MIN_WORD_CHARS and t.isalnum() and t.isascii():
+                    need -= 1
+                    if not need:
+                        break
+            else:
+                if not _has_min_words(text):
                     dropped += 1
-                continue
-        else:
-            text = block.text()
-            if not text:
-                continue
+                    continue
         if pieces:
             pos += 2  # "\n\n" separator
         pieces.append(text)
-        spans.append((pos, pos + len(text), block.kind))
+        spans.append((pos, pos + len(text), kind))
         pos += len(text)
         kept += 1
     return {

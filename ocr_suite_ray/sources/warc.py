@@ -35,6 +35,8 @@ import io
 import os
 import zlib
 
+from ocr_suite_ray.state.dupset import remote_fn
+
 _CRLF = b"\r\n"
 
 
@@ -175,6 +177,46 @@ def read_warc_pages(path: str) -> list[dict]:
     return list(iter_warc_pages(path))
 
 
+def _ingest_one(src: str, dst: str, rg: int) -> str:
+    """One WARC file → one pages parquet (a Ray task of
+    :func:`ingest_warc`)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    schema = pa.schema(
+        [("url", pa.string()), ("warc_ts", pa.timestamp("us")),
+         ("html", pa.binary())]
+    )
+
+    def _tbl(rows: list) -> pa.Table:
+        return pa.table(
+            {
+                "url": pa.array([r["url"] for r in rows], pa.string()),
+                "warc_ts": pa.array(
+                    [r["warc_ts_us"] for r in rows], pa.timestamp("us")
+                ),
+                "html": pa.array(
+                    [r["html"] for r in rows], pa.binary()
+                ),
+            },
+        ).cast(schema)
+
+    # stream row-group-sized chunks straight into the writer: peak
+    # memory is one row group, not the whole decompressed WARC
+    tmp = dst + f".tmp{os.getpid()}"
+    rows: list = []
+    with pq.ParquetWriter(tmp, schema) as w:
+        for r in iter_warc_pages(src):
+            rows.append(r)
+            if len(rows) >= rg:
+                w.write_table(_tbl(rows), row_group_size=rg)
+                rows = []
+        if rows:
+            w.write_table(_tbl(rows), row_group_size=rg)
+    os.replace(tmp, dst)
+    return dst
+
+
 def ingest_warc(src_dir: str, pages_dir: str, row_group_size: int = 4096) -> list[str]:
     """Convert every ``*.warc`` / ``*.warc.gz`` under ``src_dir`` into
     ``pages_dir/pages_{k:05d}.parquet`` (sorted input order →
@@ -190,51 +232,14 @@ def ingest_warc(src_dir: str, pages_dir: str, row_group_size: int = 4096) -> lis
         raise FileNotFoundError(f"no .warc/.warc.gz files under {src_dir}")
     os.makedirs(pages_dir, exist_ok=True)
 
-    @ray.remote
-    def _one(src: str, dst: str, rg: int) -> str:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        schema = pa.schema(
-            [("url", pa.string()), ("warc_ts", pa.timestamp("us")),
-             ("html", pa.binary())]
-        )
-
-        def _tbl(rows: list) -> pa.Table:
-            return pa.table(
-                {
-                    "url": pa.array([r["url"] for r in rows], pa.string()),
-                    "warc_ts": pa.array(
-                        [r["warc_ts_us"] for r in rows], pa.timestamp("us")
-                    ),
-                    "html": pa.array(
-                        [r["html"] for r in rows], pa.binary()
-                    ),
-                },
-            ).cast(schema)
-
-        # stream row-group-sized chunks straight into the writer: peak
-        # memory is one row group, not the whole decompressed WARC
-        tmp = dst + f".tmp{os.getpid()}"
-        rows: list = []
-        with pq.ParquetWriter(tmp, schema) as w:
-            for r in iter_warc_pages(src):
-                rows.append(r)
-                if len(rows) >= rg:
-                    w.write_table(_tbl(rows), row_group_size=rg)
-                    rows = []
-            if rows:
-                w.write_table(_tbl(rows), row_group_size=rg)
-        os.replace(tmp, dst)
-        return dst
-
     outs = [
         os.path.join(pages_dir, f"pages_{k:05d}.parquet")
         for k in range(len(src_files))
     ]
+    one = remote_fn(_ingest_one)
     return list(
         ray.get([
-            _one.remote(s, d, row_group_size) for s, d in zip(src_files, outs)
+            one.remote(s, d, row_group_size) for s, d in zip(src_files, outs)
         ])
     )
 
@@ -297,6 +302,22 @@ def write_warc(path: str, rows: list[dict], per_record_gzip: bool | None = None)
     return path
 
 
+def _export_one(src: str, dst: str, gz: bool) -> str:
+    """One pages parquet → one ``.warc[.gz]`` file (a Ray task of
+    :func:`export_warc`)."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(src, columns=["url", "warc_ts", "html"])
+    ts = t["warc_ts"].cast("int64").to_pylist()
+    rows = [
+        {"url": u, "warc_ts_us": s, "html": h}
+        for u, s, h in zip(
+            t["url"].to_pylist(), ts, t["html"].to_pylist()
+        )
+    ]
+    return write_warc(dst, rows, per_record_gzip=gz)
+
+
 def export_warc(src_dir: str, dst_dir: str, gzip_output: bool = True) -> list[str]:
     """Inverse of :func:`ingest_warc`: every pages parquet under
     ``src_dir`` becomes ``<name>.warc[.gz]`` (1:1, one remote task per
@@ -312,20 +333,6 @@ def export_warc(src_dir: str, dst_dir: str, gzip_output: bool = True) -> list[st
         raise FileNotFoundError(f"no .parquet files under {src_dir}")
     os.makedirs(dst_dir, exist_ok=True)
 
-    @ray.remote
-    def _one(src: str, dst: str, gz: bool) -> str:
-        import pyarrow.parquet as pq
-
-        t = pq.read_table(src, columns=["url", "warc_ts", "html"])
-        ts = t["warc_ts"].cast("int64").to_pylist()
-        rows = [
-            {"url": u, "warc_ts_us": s, "html": h}
-            for u, s, h in zip(
-                t["url"].to_pylist(), ts, t["html"].to_pylist()
-            )
-        ]
-        return write_warc(dst, rows, per_record_gzip=gz)
-
     ext = ".warc.gz" if gzip_output else ".warc"
     outs = [
         os.path.join(
@@ -333,6 +340,7 @@ def export_warc(src_dir: str, dst_dir: str, gzip_output: bool = True) -> list[st
         )
         for s in src_files
     ]
+    one = remote_fn(_export_one)
     return list(
-        ray.get([_one.remote(s, d, gzip_output) for s, d in zip(src_files, outs)])
+        ray.get([one.remote(s, d, gzip_output) for s, d in zip(src_files, outs)])
     )

@@ -350,3 +350,211 @@ def test_scanner_random_fragment_parity():
             rng.choice(frags) for _ in range(rng.randint(1, 30))
         ).encode()
         assert extract_html(doc) == extract_html_oracle(doc), doc
+
+
+# --- findall token walk: block-level parity and the one-findall path --------
+
+_SELF_CLOSING_AND_CDATA = [
+    '<a href="/z"/>', '<div/>', '<p />', '<script src=a/>', '<script/>',
+    '<style x="y"/>', '<noscript/>', '<template/>', '<br />',
+    '<script a=b/ >', '<style/x>', '</SCRIPT >', '</script foo>',
+    '</scripts>', '<Style>', '</StYlE', '</script', '<scrıpt>', '</scrıpt>',
+]
+
+
+def _oracle_blocks(raw: str) -> list:
+    from ocr_suite_ray.functions.html_extract import _BlockParser
+
+    parser = _BlockParser()
+    parser.feed(raw)
+    parser.close()
+    return parser.blocks
+
+
+def _assert_walk_matches_oracle(raw: str) -> None:
+    from ocr_suite_ray.functions.html_extract import (
+        _blocks,
+        extract_html_oracle,
+    )
+
+    assert _blocks(raw) == _oracle_blocks(raw), raw
+    payload = raw.encode()
+    assert extract_html(payload) == extract_html_oracle(payload), raw
+
+
+def test_token_walk_self_closing_and_cdata_fragments_match_oracle():
+    """Seeded compositions of the crawl-ish fragments plus every
+    self-closing and CDATA variant give the oracle's blocks (chunks, link
+    and total counters included), not only its output. The quoted values
+    here hold no '>', so the documented divergence cannot occur."""
+    import random
+
+    rng = random.Random(1111)
+    frags = _SELF_CLOSING_AND_CDATA + [
+        '<p>', '</p>', '<div>', '</div>', '<a href=http://x.y/>', '</a>',
+        '<noscript>', '</noscript>', '<template>', '</template>',
+        '<script>', '</script>', '<style>', '</style>', 'var x=1;',
+        '<!-- c -- >', '<!-->', '<!--', '-->', '<br/>', '<li>', '</li>',
+        '</div foo=bar>', '</ div>', '</>', '<title>', '</title>',
+        'some real words here', 'link text', '&amp; more', '<', '>',
+        '<!doctype html>', '<?pi ?>', 'x/', '<p', '</p', '\n', 'été',
+    ]
+    for frag in frags:
+        _assert_walk_matches_oracle(frag + "<p>three real words</p>")
+    for _ in range(1500):
+        _assert_walk_matches_oracle(
+            "".join(rng.choice(frags) for _ in range(rng.randint(1, 30)))
+        )
+
+
+def test_token_walk_every_prefix_matches_oracle():
+    """Every prefix of a few pages: each EOF-incomplete construct (start
+    and end tags, comments, declarations, CDATA, entities cut anywhere)
+    gives the oracle's blocks."""
+    from ocr_suite_ray.sources.synthetic import generate_pages_table
+
+    crafted = (
+        "<!DOCTYPE html><?xml x?><title>T &amp; t</title>"
+        "<p>one <a href=http://x.y/>two</a> three &#65;&copy; four</p>"
+        "<!-- c -- ><div class=\"d\">words in a div</div foo=bar>"
+        "<script src=a/>var s = '</p>';</script><p>after script</p>"
+        "<noscript><p>hidden</p></noscript><style>p{}</style>"
+        "<ul><li>item one here<br/>x</li></ul></ div>< 5 &lt; tail"
+    )
+    pages = [crafted]
+    t = generate_pages_table(12, seed=5)
+    for h in t["html"].to_pylist():
+        if h and not h.startswith(b"%PDF") and len(pages) < 4:
+            pages.append(decode_bytes(h)[0][:1500])
+    for page in pages:
+        for k in range(len(page) + 1):
+            _assert_walk_matches_oracle(page[:k])
+
+
+class _CountingToken:
+    """The tokenizer pattern with a count of its findall calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.findalls = 0
+
+    def findall(self, *args):
+        self.findalls += 1
+        return self.pattern.findall(*args)
+
+
+def test_corpus_takes_the_one_findall_path(monkeypatch):
+    """The 800-page corpus gives the oracle's blocks, and each of its HTML
+    pages (truncated and malformed ones included) is tokenized by ONE
+    findall."""
+    from ocr_suite_ray.functions import html_extract as he
+    from ocr_suite_ray.sources.synthetic import generate_pages_table
+
+    counting = _CountingToken(he._TOKEN)
+    monkeypatch.setattr(he, "_TOKEN", counting)
+    t = generate_pages_table(800, seed=99)
+    n = 0
+    for h in t["html"].to_pylist():
+        if h and not h.startswith(b"%PDF"):
+            raw = decode_bytes(h)[0]
+            counting.findalls = 0
+            assert he._blocks(raw) == _oracle_blocks(raw)
+            assert counting.findalls == 1
+            n += 1
+    assert n > 700
+
+
+def test_script_whose_slash_ends_a_value_is_tokenized_once(monkeypatch):
+    """``<script src=a/>`` is not self-closing (its '/' ends the unquoted
+    value), so CDATA follows it. A page made of many of them is tokenized
+    by one findall, and its cost grows with the page size, not with the
+    size times the number of such tags: 8x the page takes far less than
+    64x the time."""
+    import time
+
+    from ocr_suite_ray.functions import html_extract as he
+
+    unit = "<script src=a/>var x = '<p>no</p>';</script><p>three real words</p>"
+    small = unit * 1000
+    assert he._blocks(small) == _oracle_blocks(small)
+
+    counting = _CountingToken(he._TOKEN)
+    monkeypatch.setattr(he, "_TOKEN", counting)
+    he._blocks(unit * 8000)
+    assert counting.findalls == 1
+    monkeypatch.undo()
+
+    def best_of_5(page: str) -> float:
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            he._blocks(page)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    ratio = best_of_5(unit * 8000) / best_of_5(small)
+    assert ratio < 24, ratio
+
+
+def test_self_closed_grammar_equals_stdlib_attribute_walk():
+    """``_SELF_CLOSED`` (the attribute walk written into the grammar)
+    decides self-closing exactly as html.parser's parse_starttag does with
+    its own tagfind_tolerant/attrfind_tolerant loop, on seeded tag texts
+    built from the characters that walk branches on."""
+    import random
+
+    from html.parser import attrfind_tolerant, tagfind_tolerant
+
+    from ocr_suite_ray.functions.html_extract import _SELF_CLOSED
+
+    def stdlib_self_closing(tag: str) -> bool:
+        k = tagfind_tolerant.match(tag).end()
+        while k < len(tag) - 1:
+            m = attrfind_tolerant.match(tag, k)
+            if m is None:
+                break
+            k = m.end()
+        return tag[k:].strip() == "/>"
+
+    rng = random.Random(2222)
+    alphabet = list("ab/= '\"\t\n\x00\xa0-") + ["a=b/", "=/", "'/'", " /"]
+    for _ in range(20000):
+        rest = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        for name in ("a", "script", "Style", 'a"'):
+            tag = f"{name}{rest}>"
+            if rest[:1] not in ("", *"\t\n\r\f />\x00"):
+                continue  # rest would extend the tag name
+            assert bool(_SELF_CLOSED.fullmatch(tag)) == stdlib_self_closing(
+                tag
+            ), repr(tag)
+
+
+def test_word_check_equals_regex_decision():
+    """_assemble's token count keeps or drops a block exactly as the
+    _WORD_OK regex would: underscores, punctuation, non-ASCII letters,
+    combining marks, NBSP/U+3000 separators, fullwidth digits, and blocks
+    right at the MIN_WORDS boundary."""
+    from ocr_suite_ray.functions.html_extract import (
+        _assemble,
+        _has_min_words,
+    )
+    from ocr_suite_ray.functions.textnorm import nfc
+
+    tokens = [
+        "a_b_c", "__x", "ab1", '"abc"', "(ab)", "\u00e9t\u00e9", "na\u00efve",
+        "e\u0301te", "\uff11\uff12\uff13", "\uff11\uff12", "ab", "abc",
+        "ab-", "x.y.z", "\u1100\u1161\u11a8",
+    ]
+    texts = []
+    for tok in tokens:
+        for n_tok in range(1, 5):
+            for n_word in range(0, 4):
+                texts.append(" ".join([tok] * n_tok + ["word"] * n_word))
+    texts += [
+        "abc\xa0def\xa0ghi", "abc\u3000def", "abc\u3000def\u3000ghi",
+        "one two", "one two three", "one two three four",
+    ]
+    for text in texts:
+        block = ("paragraph", [text], 0, len(text.strip()))
+        kept = _assemble([block])["n_blocks_kept"]
+        assert kept == _has_min_words(nfc(" ".join(text.split()))), text

@@ -79,6 +79,88 @@ def test_scanner_matches_oracle_on_arbitrary_bytes(payload):
     assert extract_html(payload) == extract_html_oracle(payload)
 
 
+# --- grammar-shaped markup: tags, attributes, CDATA, comments, truncation --
+
+_TAG_NAMES = ["p", "div", "a", "br", "li", "h1", "title", "span", "img",
+              "noscript", "template", "script", "style", "P", "DIV", "A",
+              "Br", "SCRIPT", "Style", "x-y"]
+_TEXT = st.lists(
+    st.sampled_from(
+        list("abcdefg xyz-/=<>!?\n") + ["&amp;", "&#65;", "&lt", "words "]
+    ),
+    max_size=12,
+).map("".join)
+
+
+@st.composite
+def _attrs(draw):
+    out = ""
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(["href", "src", "x", "class", "data-a"]))
+        value = draw(st.one_of(
+            st.sampled_from(["", "a", "a/", "http://x.y/", "/", "a//", "b c"]),
+            st.sampled_from(['"y"', "'/z'", '"a/"']),
+        ))
+        sep = draw(st.sampled_from(["", "=", " = ", "=="]))
+        out += " " + name + (sep + value if sep else "")
+    return out + draw(st.sampled_from(["", "/", " /", " ", "//"]))
+
+
+@st.composite
+def _construct(draw):
+    kind = draw(st.integers(0, 6))
+    name = draw(st.sampled_from(_TAG_NAMES))
+    if kind == 0:
+        return draw(_TEXT)
+    if kind == 1:
+        return "<" + name + draw(_attrs()) + ">"
+    if kind == 2:
+        junk = draw(st.sampled_from(["", " ", " foo=bar", "\t", "/"]))
+        lead = draw(st.sampled_from(["", "", " "]))
+        return "</" + lead + name + junk + ">"
+    if kind == 3:  # script/style: with and without a close
+        tag = draw(st.sampled_from(["script", "style", "SCRIPT", "Style"]))
+        body = draw(st.sampled_from(
+            ["var x = 1;", "'<p>no</p>'", "</scr", "</scripts>", "</style x>",
+             "a</script foo>b", ""]))
+        close = draw(st.sampled_from(
+            ["</" + tag + ">", "</" + tag.upper() + " >", "</script>",
+             "</style>", "</" + tag + "\n>", ""]))
+        return "<" + tag + draw(_attrs()) + ">" + body + close
+    if kind == 4:  # comments, '-- >' close and unterminated ones
+        return "<!--" + draw(_TEXT) + draw(
+            st.sampled_from(["-->", "-- >", "--\n>", "->", "", "--!>"]))
+    if kind == 5:
+        return draw(st.sampled_from(
+            ["<!doctype html>", "<!x", "<!-x>", "<?pi ?>", "<?", "</>", "<",
+             "< p>", "<!", "</ >"]))
+    return draw(st.sampled_from(["<br/>", "<br>", "<br />", "</a>", "</p>"]))
+
+
+@st.composite
+def _markup_docs(draw):
+    doc = "".join(draw(st.lists(_construct(), max_size=25)))
+    return doc[: draw(st.integers(0, len(doc)))]  # truncation at any char
+
+
+@settings(max_examples=400, deadline=None)
+@given(_markup_docs())
+def test_scanner_matches_oracle_on_grammar_shaped_markup(doc):
+    """Byte soup rarely forms tags with attributes, CDATA with its close,
+    '-- >' comments or a construct cut at EOF; this composes them, so the
+    tokenizer grammar and the oracle meet each one often. Same divergence
+    filter as the byte-soup test above."""
+    import re as _re
+
+    from ocr_suite_ray.functions.html_extract import extract_html_oracle
+
+    out = extract_html(doc.encode())
+    assert out["n_blocks_kept"] == len(out["spans"])
+    if _re.search(r"<[A-Za-z][^>]*[\"'][^\"'>]*>", doc):
+        return
+    assert out == extract_html_oracle(doc.encode())
+
+
 # --- spans shuffle codec roundtrip -----------------------------------------
 
 @settings(max_examples=100, deadline=None)

@@ -4,10 +4,12 @@ The Ray-Data restatement of the reference's recognition loop (``SURVEY.md``
 §3.1: CLI → DB watermark → seek → bounded queue → N OCR threads → store):
 
     phase 0: url-column-only scan → global dup-url set           [narrow reduce]
-    phase 1 (per wave, resumable): Dataset of (file,row_group,pid) specs
-      → map_batches(fused_extract_task, concurrency=pool)        [TASK POOL:
-        read row group → warm-parser extract → tag is_dup
-        → write partition_id=N/is_dup=K files; emits only counts]
+    phase 1 (per wave, resumable): (file,row_group,pid) unit specs
+      dealt by bytes onto min(units, CPUs, pool) chunks, one block each
+      → map_batches(fused_extract_task, batch_size=None)         [TASK POOL:
+        per unit: read row group → warm-parser extract → tag is_dup
+        → write partition_id=N/is_dup=K files + unit marker;
+        emits only counts]
       → atomic commit + per-partition lineage
     phase 2: hardlink unique-url files into final/ + exact reduce
       of the tiny dup subset                                     [narrow]
@@ -32,8 +34,18 @@ thread per warm engine, with no shared writer.
 
 Skew (north_star): work units are row groups, which are written with a
 fixed ROW count — so a byte-heavy unit is exactly one carrying giant DOMs
-or PDFs, and it delays only its own task while the pool streams on. The
-work granularity comes from the data, not from a routing option.
+or PDFs. The wave runs one task per chunk of units, as many chunks as the
+pool can run at once (DS2: parallelism from the resources that do the
+work, not from the input count), so a heavy unit delays only its own
+chunk. Units are dealt largest first by their footer byte size onto the
+chunk with the fewest bytes so far (LPT, `_deal_units`), which spreads
+the heavy units across chunks instead of piling them onto one (FP-Hadoop's
+byte-balanced static split). It relies on bytes tracking a unit's busy
+time: Pearson r 0.67-0.99 over per-unit times measured at 1 logical
+CPU on the skew and bench corpora, though a PDF-heavy unit costs about
+twice as much per byte (ROADMAP direction 1 replays those times against
+a contiguous split and per-unit tasks). The split comes from the data,
+not from a routing option.
 
 Phase 2 (dedup + finalize) costs O(dup rate), not O(corpus): unique-url
 partition files are hardlinked, only dup-url rows are reduced; it re-runs
@@ -67,12 +79,14 @@ from ocr_suite_ray.state.dupset import (
 )
 
 PAGES_COLUMNS = ["url", "warc_ts", "html"]  # prune at the read: text/lang unused
+_PHASES = ("read_s", "extract_s", "tag_s", "write_s")  # a unit's timed steps
 
 
 @dataclass
 class ExtractConfig:
-    pool_size: int | tuple = 8       # fused-wave task concurrency (a
-                                     # tuple leaves it to Ray Data)
+    # cap on the fused wave's chunk count, so on its task concurrency:
+    # one task per chunk, min(units, cluster CPUs, pool_size) chunks
+    pool_size: int = 8
     # input partitions (files) committed per wave. "auto" bounds the wave
     # COUNT instead of the wave size (see _resolve_wave_size): every wave
     # barrier pays a fixed pipeline-ramp cost (~1.8 s at 32 cpus — warm
@@ -237,17 +251,30 @@ def _commit_wave(
     tmp_dir: str,
     extracted_dir: str,
     wave: list[tuple[int, str]],
-    wall: float,
     counts: list,
     salt: str = "",
 ) -> int:
     """Atomically promote each partition's output dir and write its lineage
-    record. Returns rows committed. ``counts`` = [(pid, n)] rows from the
-    fused sink (live units plus reused unit markers)."""
+    record. Returns rows committed. ``counts`` = one row per unit from the
+    fused sink: ``pid``, ``n`` and the unit's busy seconds per phase, which
+    are absent or ``None`` for a unit reused from a marker. Each record's
+    ``stage_metrics`` is its own partition's cost: ``units``,
+    ``units_reused`` and the summed ``read_s``/``extract_s``/``tag_s``/
+    ``write_s`` of the units this run did."""
     total = 0
-    per_pid_rows: dict[int, int] = {pid: 0 for pid, _ in wave}
+    stats = {
+        pid: dict.fromkeys(("rows", "units", "units_reused") + _PHASES, 0)
+        for pid, _ in wave
+    }
     for r in counts:
-        per_pid_rows[int(r["pid"])] = per_pid_rows.get(int(r["pid"]), 0) + int(r["n"])
+        st = stats[int(r["pid"])]
+        st["rows"] += int(r["n"])
+        st["units"] += 1
+        if r.get("read_s") is None:
+            st["units_reused"] += 1
+        else:
+            for phase in _PHASES:
+                st[phase] += r[phase]
     for pid, _ in wave:
         src = os.path.join(tmp_dir, f"partition_id={pid}")
         dst = os.path.join(extracted_dir, f"partition_id={pid}")
@@ -266,23 +293,26 @@ def _commit_wave(
                 for fn in fns:
                     if not fn.endswith(".parquet") and ".tmp" in fn:
                         os.remove(os.path.join(root, fn))
-        n = per_pid_rows[pid]
-        total += n
+        total += stats[pid]["rows"]
         if os.path.isdir(dst):
             shutil.rmtree(dst)
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         os.replace(src, dst)
-    rate = total / wall if wall > 0 else 0.0
     for pid, path in wave:
+        st = stats[pid]
         lin.write_record(
             os.path.dirname(extracted_dir),
             lin.LineageRecord(
                 partition_id=pid,
                 input_path=path,
                 input_fingerprint=lin.fingerprint_with_salt(path, salt),
-                rows_done=per_pid_rows[pid],
+                rows_done=st["rows"],
                 status=lin.STATUS_DONE,
-                stage_metrics={"wave_wall_s": round(wall, 3), "wave_rows_per_s": round(rate, 1)},
+                stage_metrics={
+                    "units": st["units"],
+                    "units_reused": st["units_reused"],
+                    **{phase: round(st[phase], 4) for phase in _PHASES},
+                },
             ),
         )
     return total
@@ -403,16 +433,14 @@ def _run_extract_phase_locked(
         "dup_scan_s": round(dup_scan_s, 3),
         "waves_s": 0.0,
         "commit_s": 0.0,
-        "fanout": {**fanout, **dup_tasks},
+        "fanout": {**fanout, **dup_tasks, "wave": 0},
     }
     if quarantined:
         summary["quarantined"] = quarantined
     import ray.data as rd
 
     debug_dir = os.path.join(out_dir, "debug") if cfg.debug_dump else None
-    concurrency = (
-        {"concurrency": cfg.pool_size} if isinstance(cfg.pool_size, int) else {}
-    )
+    max_chunks = min(fanout["cpus"], cfg.pool_size)
     first_wave = True
     wave_size = _resolve_wave_size(cfg.wave_size, len(pending))
     for w0 in range(0, len(pending), wave_size):
@@ -435,19 +463,20 @@ def _run_extract_phase_locked(
         # (file, row_group) specs — neither input payloads nor outputs ever
         # cross the object store
         specs = _wave_specs(wave, salt=dupset_fp)
-        reused: list[dict] = []
         if done_units:
-            keep = []
-            for k in range(specs.num_rows):
-                key = (specs["path"][k].as_py(), specs["row_group"][k].as_py())
-                done = done_units.get(key)
-                # pid must match too: if the input list shifted, a
-                # marker's rows sit under the wrong partition dir
-                if done is not None and done["pid"] == specs["partition_id"][k].as_py():
-                    reused.append(done)
-                else:
-                    keep.append(k)
-            specs = specs.take(pa.array(keep, pa.int64()))
+            # the writer reuses a marked unit itself (_marked_rows), so
+            # here only the pids of the reused units matter. pid must
+            # match too: if the input list shifted, a marker's rows sit
+            # under the wrong partition dir
+            reused_pids = {
+                pid
+                for path, rg, pid in zip(
+                    specs["path"].to_pylist(),
+                    specs["row_group"].to_pylist(),
+                    specs["partition_id"].to_pylist(),
+                )
+                if done_units.get((path, rg), {}).get("pid") == pid
+            }
             # prune stale partition dirs the reused markers do NOT
             # account for: when the input list shifts (a new file sorts
             # before existing ones), the killed run's partition_id=<old>
@@ -458,7 +487,6 @@ def _run_extract_phase_locked(
             # costs redundant work, never correctness. (pid→file is
             # injective per run, so a dir with a reused marker cannot
             # also hold another file's stale rows.)
-            reused_pids = {r["pid"] for r in reused}
             for d in os.listdir(tmp_dir):
                 if not d.startswith("partition_id="):
                     continue
@@ -482,40 +510,42 @@ def _run_extract_phase_locked(
                         mpid = None
                     if mpid not in reused_pids:
                         os.unlink(fp_path)
-        # task pool + per-worker warm cache (fused_extract_task): reuses the
-        # session's warm workers, so a wave pays no actor spawn/import ramp
+        # one block, so one task, per chunk of units; the per-worker warm
+        # cache (fused_extract_task) reuses the session's warm workers, so
+        # a wave pays no actor spawn/import ramp
+        chunks = _deal_units(specs["bytes"].to_pylist(), max_chunks)
+        summary["fanout"]["wave"] += len(chunks)
         counts = (
-            rd.from_arrow(specs)
-            .repartition(specs.num_rows)  # one block per spec => full task parallelism
+            rd.from_arrow([specs.take(pa.array(c, pa.int64())) for c in chunks])
             .map_batches(
                 fused_extract_task,
                 batch_format="pyarrow",
-                batch_size=1,
+                batch_size=None,
                 fn_kwargs={
                     "tmp_dir": tmp_dir,
                     "member_box": member_box,
                     "debug_dir": debug_dir,
                     "ocr_engine": cfg.ocr_engine,
                 },
-                **concurrency,
+                concurrency=len(chunks),
             )
             .take_all()
-        ) if specs.num_rows else []
-        counts = counts + reused
+        ) if chunks else []
         wall = time.monotonic() - t0
         summary["waves_s"] = round(summary["waves_s"] + wall, 3)
-        if any("read_s" in r for r in counts):
-            # pool busy-time decomposition (reused-marker rows carry no
-            # timings; live rows are 1 spec per call)
-            for phase in ("read_s", "extract_s", "tag_s", "write_s"):
+        live = [r for r in counts if r.get("read_s") is not None]
+        if live:
+            # pool busy-time decomposition (a reused unit's row carries
+            # no timings)
+            for phase in _PHASES:
                 summary[f"pool_{phase}"] = round(
                     summary.get(f"pool_{phase}", 0.0)
-                    + sum(r.get(phase, 0.0) for r in counts),
+                    + sum(r[phase] for r in live),
                     2,
                 )
         t_c0 = time.monotonic()
         summary["rows_extracted"] += _commit_wave(
-            tmp_dir, extracted_dir, wave, wall, counts, salt=dupset_fp
+            tmp_dir, extracted_dir, wave, counts, salt=dupset_fp
         )
         summary["commit_s"] = round(
             summary["commit_s"] + (time.monotonic() - t_c0), 3
@@ -528,13 +558,14 @@ def _run_extract_phase_locked(
 
 
 def _wave_specs(wave: list[tuple[int, str]], salt: str = "") -> pa.Table:
-    """(path, row_group, pid, fp) work units for the fused wave — row-group
-    granularity gives ~seconds-long tasks and natural size bucketing (row
-    groups are written with a fixed row count, so byte-heavy groups carry
-    the giant DOMs). ``fp`` is the salted input fingerprint the worker
-    stamps into each unit's completion marker (computed here so the worker
-    never touches lineage code)."""
-    paths, rgs, pids, fps = [], [], [], []
+    """(path, row_group, pid, fp, bytes) work units for the fused wave.
+    Row groups are written with a fixed row count, so a unit's ``bytes``
+    (the row group's uncompressed ``total_byte_size`` from the footer)
+    tells a giant-DOM or PDF unit from a plain one; ``_deal_units`` deals
+    units onto chunks by it. ``fp`` is the salted input fingerprint the
+    worker stamps into each unit's completion marker (computed here so the
+    worker never touches lineage code)."""
+    paths, rgs, pids, fps, sizes = [], [], [], [], []
     for pid, path in wave:
         md = pq.read_metadata(path)
         fp = lin.fingerprint_with_salt(path, salt)
@@ -543,14 +574,33 @@ def _wave_specs(wave: list[tuple[int, str]], salt: str = "") -> pa.Table:
             rgs.append(rg)
             pids.append(pid)
             fps.append(fp)
+            sizes.append(md.row_group(rg).total_byte_size)
     return pa.table(
         {
             "path": pa.array(paths, pa.string()),
             "row_group": pa.array(rgs, pa.int32()),
             "partition_id": pa.array(pids, pa.int64()),
             "fp": pa.array(fps, pa.string()),
+            "bytes": pa.array(sizes, pa.int64()),
         }
     )
+
+
+def _deal_units(sizes: list[int], n: int) -> list[list[int]]:
+    """Unit indices dealt onto ``min(len(sizes), n)`` chunks: largest first,
+    each onto the chunk with the fewest bytes so far (LPT), so no two
+    chunks' byte loads differ by more than the largest unit. Each chunk
+    keeps its units in input order."""
+    import heapq
+
+    n = min(len(sizes), n)
+    chunks: list[list[int]] = [[] for _ in range(n)]
+    loads = [(0, c) for c in range(n)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        load, c = heapq.heappop(loads)
+        chunks[c].append(i)
+        heapq.heappush(loads, (load + sizes[i], c))
+    return [sorted(c) for c in chunks]
 
 
 _UNITS_DIR = "_units"
@@ -589,10 +639,10 @@ def _load_unit_markers(tmp_dir: str, salt: str) -> dict:
 
 _FUSED_CACHE: dict = {}
 
-# one row per unit: rows written plus per-phase busy seconds
+# one row per unit: rows written plus per-phase busy seconds (null for a
+# unit an earlier attempt of the same chunk completed)
 _COUNTS_SCHEMA = pa.schema(
-    [("pid", pa.int64()), ("n", pa.int64())]
-    + [(k, pa.float64()) for k in ("read_s", "extract_s", "tag_s", "write_s")]
+    [("pid", pa.int64()), ("n", pa.int64())] + [(k, pa.float64()) for k in _PHASES]
 )
 
 
@@ -605,12 +655,15 @@ def fused_extract_task(
     ocr_engine: str | None = None,
 ) -> pa.Table:
     """Task-pool form of the fused wave stage: a plain ``map_batches``
-    function with the warm state cached per WORKER PROCESS (module global
-    keyed by sink dir + membership ref). Tasks reuse the session's
-    already-warm workers, so a wave pays ZERO pool ramp — measured ~2-3 s
-    of actor-process spawn+import per wave at 28-actor concurrency, the
-    dominant fixed cost once the extract kernel got fast. Cache holds one
-    entry (waves are sequential); a new wave's key evicts the old."""
+    function over one chunk of unit specs (one block, ``batch_size=None``)
+    with the warm state cached per WORKER PROCESS (module global keyed by
+    sink dir + membership ref). One task per chunk, not per unit: at one
+    CPU each Ray Data task paid ~10.7 ms of streaming-executor gap, so a
+    wave of u units on c CPUs now pays it c times, not u. Tasks reuse the
+    session's already-warm workers, so a wave pays ZERO pool ramp —
+    measured ~2-3 s of actor-process spawn+import per wave at 28-actor
+    concurrency. Cache holds one entry (waves are sequential); a new
+    wave's key evicts the old."""
     key = (tmp_dir, member_box[0], debug_dir, ocr_engine)
     writer = _FUSED_CACHE.get(key)
     if writer is None:
@@ -621,12 +674,12 @@ def fused_extract_task(
 
 
 class FusedExtractWriter:
-    """The whole wave in ONE operator: each call takes one
-    (path, row_group, pid, fp) spec, reads that row group directly (no
-    object store transfer — Ray cannot fuse task-based reads into a
-    downstream stage, so we fuse by hand), extracts with the warm parser,
-    tags is_dup, writes the partition files and the unit marker, and
-    returns only (pid, n) counts plus per-phase busy seconds.
+    """The whole wave in ONE operator: each call takes a chunk of
+    (path, row_group, pid, fp) specs and, per spec, reads that row group
+    directly (no object store transfer — Ray cannot fuse task-based reads
+    into a downstream stage, so we fuse by hand), extracts with the warm
+    parser, tags is_dup, writes the partition files and the unit marker,
+    and returns only (pid, n) counts plus per-phase busy seconds.
 
     The reference analogue is exact: one consumer thread = warm Tesseract +
     direct frame access + its own DB writes (``src/recognition/main.cpp:
@@ -688,6 +741,23 @@ class FusedExtractWriter:
             )
         os.replace(tmp, os.path.join(self._units_dir, name))
 
+    def _marked_rows(self, path: str, rg: int, pid: int, fp: str) -> int | None:
+        """Rows of a unit whose marker for this same (path, row_group, pid,
+        fp) already exists, else ``None``. This is the one reuse path: a
+        resumed run skips the units the killed run completed, and a Ray
+        retry of a chunk task (a worker OOM, say) the units its failed
+        attempt completed, so a retry redoes units, not chunks. The marker
+        is written after the unit's sink files, so a marked unit's files
+        are in place."""
+        marker = os.path.join(self._units_dir, _unit_marker_name(path, rg))
+        try:
+            with open(marker) as fh:
+                m = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        key = (m.get("path"), m.get("row_group"), m.get("pid"), m.get("fp"))
+        return m["n"] if key == (path, rg, pid, fp) else None
+
     def __call__(self, spec: pa.Table) -> pa.Table:
         rows = []
         for path, rg, pid, fp in zip(
@@ -696,6 +766,10 @@ class FusedExtractWriter:
             spec["partition_id"].to_pylist(),
             spec["fp"].to_pylist(),
         ):
+            n = self._marked_rows(path, rg, pid, fp)
+            if n is not None:
+                rows.append({"pid": pid, "n": n})
+                continue
             t0 = time.monotonic()
             t = pq.ParquetFile(path).read_row_group(rg, columns=PAGES_COLUMNS)
             t_read = time.monotonic()

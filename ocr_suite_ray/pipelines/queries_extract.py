@@ -25,7 +25,7 @@ def _ensure_extracted(sf_dir: str) -> str:
     n = _QUERY_PAGES.get(tag, 2_000)
     base = f"/tmp/ocs_query/{tag}-{n}"
     generate_corpus(os.path.join(base, "pages"), n, seed=42, n_files=4)
-    cfg = ExtractConfig(wave_size=4, pool_size=(1, 8))
+    cfg = ExtractConfig(wave_size=4)
     run_pipeline(os.path.join(base, "pages"), os.path.join(base, "out"), cfg)
     return os.path.join(base, "out", "final")
 

@@ -152,7 +152,7 @@ def pagerank_e9(
 
     from ocr_suite_ray.stages._bcast import cached_build
     from ocr_suite_ray.stages.relational import grouped_reduce_c
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, remote_fn
 
     if not 0 <= d_e2 <= 100:
         raise ValueError(f"d_e2 must be in [0, 100], got {d_e2}")
@@ -216,7 +216,7 @@ def pagerank_e9(
         _hosts_merge,
         materialize=False,
     )
-    n_hosts = ray.get(ray.remote(lambda t: t.num_rows).remote(hosts_ref))
+    n_hosts = ray.get(remote_fn(_num_rows).remote(hosts_ref))
     if n_hosts > max_broadcast_rows:
         raise ValueError(
             f"pagerank_e9 broadcast tier: {n_hosts} hosts exceed the "
@@ -224,12 +224,7 @@ def pagerank_e9(
             "(ranks as a Dataset joined on src per iteration)."
         )
 
-    @ray.remote
-    def _init_ranks(hosts: pa.Table) -> pa.Table:
-        r = np.full(hosts.num_rows, E9 // max(n_hosts, 1), dtype=np.int64)
-        return pa.table({"h": hosts["h"], "r": pa.array(r, pa.int64())})
-
-    ranks_ref = _init_ranks.remote(hosts_ref)
+    ranks_ref = remote_fn(_init_ranks).remote(hosts_ref, n_hosts)
 
     def _rank_series(tbl: pa.Table) -> pd.Series:
         return pd.Series(
@@ -240,22 +235,6 @@ def pagerank_e9(
         return pd.Series(
             tbl["od"].to_numpy(), index=tbl["h"].to_pandas(), copy=False
         )
-
-    @ray.remote
-    def _apply(hosts: pa.Table, contrib, nh: int) -> pa.Table:
-        base = ((100 - d_e2) * E9) // (100 * max(nh, 1))
-        hs = hosts["h"].to_pandas()
-        if contrib is None or contrib.num_rows == 0:
-            inflow = np.zeros(len(hs), dtype=np.int64)
-        else:
-            cs = pd.Series(
-                contrib["c"].to_numpy(), index=contrib["h"].to_pandas()
-            )
-            inflow = (
-                cs.reindex(hs).fillna(0).to_numpy().astype(np.int64)
-            )
-        r = base + (d_e2 * inflow) // 100
-        return pa.table({"h": hosts["h"], "r": pa.array(r, pa.int64())})
 
     for _ in range(n_iter):
         rr, dd = ranks_ref, deg_ref
@@ -285,10 +264,31 @@ def pagerank_e9(
             _csum,
             materialize=False,
         )
-        ranks_ref = _apply.remote(hosts_ref, contrib_ref, n_hosts)
+        ranks_ref = remote_fn(_apply).remote(hosts_ref, contrib_ref, n_hosts, d_e2)
 
-    @ray.remote
-    def _final(tbl: pa.Table) -> pa.Table:
-        return pa.table({"host": tbl["h"], "rank_e9": tbl["r"]})
+    return rd.from_arrow_refs([remote_fn(_final).remote(ranks_ref)])
 
-    return rd.from_arrow_refs([_final.remote(ranks_ref)])
+
+def _num_rows(t: pa.Table) -> int:
+    return t.num_rows
+
+
+def _init_ranks(hosts: pa.Table, n_hosts: int) -> pa.Table:
+    r = np.full(hosts.num_rows, E9 // max(n_hosts, 1), dtype=np.int64)
+    return pa.table({"h": hosts["h"], "r": pa.array(r, pa.int64())})
+
+
+def _apply(hosts: pa.Table, contrib, nh: int, d_e2: int) -> pa.Table:
+    base = ((100 - d_e2) * E9) // (100 * max(nh, 1))
+    hs = hosts["h"].to_pandas()
+    if contrib is None or contrib.num_rows == 0:
+        inflow = np.zeros(len(hs), dtype=np.int64)
+    else:
+        cs = pd.Series(contrib["c"].to_numpy(), index=contrib["h"].to_pandas())
+        inflow = cs.reindex(hs).fillna(0).to_numpy().astype(np.int64)
+    r = base + (d_e2 * inflow) // 100
+    return pa.table({"h": hosts["h"], "r": pa.array(r, pa.int64())})
+
+
+def _final(tbl: pa.Table) -> pa.Table:
+    return pa.table({"host": tbl["h"], "rank_e9": tbl["r"]})

@@ -38,7 +38,8 @@ class LineageRecord:
     input_fingerprint: str
     rows_done: int = 0
     status: str = STATUS_PENDING
-    stage_metrics: dict = field(default_factory=dict)  # name -> rows/s etc.
+    # the partition's own cost: units, units_reused, read_s/extract_s/...
+    stage_metrics: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
 

@@ -106,7 +106,8 @@ def test_resolve_wave_size():
 def test_more_partitions_than_cpus_matches_golden(ray_session, tmp_path):
     """Nine partitions on fewer CPUs: the probe, dup scan, fingerprint
     and finalize fan-outs each start one task per chunk of inputs, at most
-    one per CPU, the summaries record those counts, and final/ still
+    one per CPU, the wave one task per chunk of units, at most one per CPU
+    and pool slot, the summaries record those counts, and final/ still
     equals golden_extract (the corpus repeats urls across partitions, so
     the finalize reduces dup files from several tasks)."""
     from ocr_suite_ray.sources.synthetic import generate_corpus
@@ -120,7 +121,72 @@ def test_more_partitions_than_cpus_matches_golden(ray_session, tmp_path):
         ExtractConfig(pool_size=2, on_bad_input="quarantine"),
     )
     assert s["partitions_processed"] == 9
-    assert s["fanout"] == {"cpus": cpus, "probe": cpus, "dup_scan": cpus, "dup_fp": cpus}
+    assert s["fanout"] == {
+        "cpus": cpus, "probe": cpus, "dup_scan": cpus, "dup_fp": cpus,
+        "wave": min(cpus, 2),
+    }
     assert s["finalize"]["fanout"] == {"cpus": cpus, "link": cpus}
     assert os.path.exists(os.path.join(out, "final", "winners.parquet"))
     _assert_matches_golden(_load_final(out), golden_extract(_load_pages(files)))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_more_units_than_chunks_matches_golden(ray_session, tmp_path, monkeypatch, cpus):
+    """Multi-row-group files on fewer CPUs than units: the wave deals the
+    units onto one chunk per CPU, each chunk task runs several units, and
+    final/ still equals golden_extract."""
+    from ocr_suite_ray.pipelines import extract as extract_mod
+    from ocr_suite_ray.sources.synthetic import generate_pages_table
+    from ocr_suite_ray.state import dupset
+
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    files = []
+    for k, n in enumerate((90, 50, 20)):
+        path = str(pages / f"pages_{k:05d}.parquet")
+        pq.write_table(
+            generate_pages_table(n, seed=5, start=100 * k), path, row_group_size=16
+        )
+        files.append(path)
+    units = sum(pq.ParquetFile(f).num_row_groups for f in files)
+    assert units > 2 * cpus
+    monkeypatch.setattr(extract_mod, "cluster_cpus", lambda: cpus)
+    monkeypatch.setattr(dupset, "cluster_cpus", lambda: cpus)
+    out = str(tmp_path / "out")
+    s = run_pipeline(str(pages), out, ExtractConfig())
+    assert s["fanout"]["wave"] == cpus
+    _assert_matches_golden(_load_final(out), golden_extract(_load_pages(files)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_deal_units_balances_bytes(seed):
+    """LPT dealing: every unit lands in exactly one chunk, there are
+    min(units, n) chunks, each keeps input order, and no two chunks' byte
+    loads differ by more than the largest unit."""
+    import random
+
+    from ocr_suite_ray.pipelines.extract import _deal_units
+
+    rng = random.Random(seed)
+    sizes = [
+        rng.randint(10_000, 90_000) if rng.random() < 0.2 else rng.randint(1, 900)
+        for _ in range(rng.randint(0, 40))
+    ]
+    for n in (1, 2, 3, 7, 64):
+        chunks = _deal_units(sizes, n)
+        assert len(chunks) == min(len(sizes), n)
+        assert sorted(i for c in chunks for i in c) == list(range(len(sizes)))
+        assert all(c == sorted(c) for c in chunks)
+        loads = [sum(sizes[i] for i in c) for c in chunks]
+        if loads:
+            assert max(loads) - min(loads) <= max(sizes)
+
+
+def test_deal_units_spreads_heavy_units():
+    """Heavy units last in input order are dealt first, onto different
+    chunks, and the light units fill the lighter chunk: an even
+    contiguous split would put both heavy units on one chunk, and dealing
+    in input order would stack a heavy unit on top of light ones."""
+    from ocr_suite_ray.pipelines.extract import _deal_units
+
+    assert _deal_units([5, 5, 5, 5, 900, 800], 2) == [[4], [0, 1, 2, 3, 5]]

@@ -9,7 +9,9 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.dataset as pads
+import pytest
 
 from ocr_suite_ray.pipelines.extract import (
     ExtractConfig,
@@ -430,7 +432,7 @@ def test_commit_scrubs_leftover_tmp_sink_files(
     )
     _commit_wave(
         tmp_dir, str(tmp_path / "out2_extracted"),
-        wave=[(0, os.path.join(pages_dir, files[0]))], wall=1.0, counts=[],
+        wave=[(0, os.path.join(pages_dir, files[0]))], counts=[],
     )
     promoted = os.listdir(
         os.path.join(str(tmp_path / "out2_extracted"), "partition_id=0", "is_dup=0")
@@ -456,3 +458,132 @@ def test_partition_fingerprint_catches_midfile_edit(tmp_path):
     os.utime(p)  # fresh mtime either way; fingerprint must differ by CONTENT
     fp2 = lin.partition_fingerprint(p)
     assert fp1 != fp2
+
+
+def _writer_and_specs(files: list, out: str, cfg: ExtractConfig):
+    """A fused-wave writer for ``out``'s wave temp dir and the unit specs of
+    all ``files``, salted as run_pipeline salts them."""
+    from ocr_suite_ray.pipelines.extract import (
+        FusedExtractWriter,
+        _input_dup_membership,
+        _wave_specs,
+    )
+    from ocr_suite_ray.version import extract_code_fingerprint
+
+    member_box, _fp, file_fps, _tasks = _input_dup_membership(files, out)
+    code_fp = extract_code_fingerprint()
+    salts = {
+        p: f"{fp}-{code_fp}-ocr:{cfg.ocr_engine or 'none'}"
+        for p, fp in file_fps.items()
+    }
+    specs = _wave_specs(list(enumerate(files)), salt=salts)
+    return FusedExtractWriter(os.path.join(out, "_wave_tmp"), member_box), specs
+
+
+def _spy_extract(writer, fail_on: int | None = None) -> list:
+    """Wrap ``writer``'s PageExtractor: record each call's row count and
+    raise on call number ``fail_on`` (1-based)."""
+    real, calls = writer._extract, []
+
+    def spy(t):
+        calls.append(t.num_rows)
+        if len(calls) == fail_on:
+            raise RuntimeError("worker killed mid-chunk")
+        return real(t)
+
+    writer._extract = spy
+    return calls
+
+
+def _final_digest(out_dir: str) -> dict:
+    import hashlib
+
+    d = os.path.join(out_dir, "final")
+    return {
+        f: hashlib.sha1(open(os.path.join(d, f), "rb").read()).hexdigest()
+        for f in sorted(os.listdir(d))
+    }
+
+
+def _write_pages(pages_dir: str, sizes, row_group_size: int) -> None:
+    import pyarrow.parquet as pq
+
+    from ocr_suite_ray.sources.synthetic import generate_pages_table
+
+    os.makedirs(pages_dir, exist_ok=True)
+    start = 0
+    for k, n in enumerate(sizes):
+        pq.write_table(
+            generate_pages_table(n, seed=11, start=start),
+            os.path.join(pages_dir, f"pages_{k:05d}.parquet"),
+            row_group_size=row_group_size,
+        )
+        start += n
+
+
+def test_retried_chunk_skips_marked_units(ray_session, small_corpus, tmp_path):
+    """A retry of a chunk task redoes units, not the chunk: a second call
+    over the same two-unit spec table extracts nothing and returns the
+    same (pid, n) rows, read from the units' markers."""
+    from ocr_suite_ray.pipelines.extract import list_pages_files
+
+    pages_dir, _files = small_corpus
+    out = str(tmp_path / "out")
+    writer, specs = _writer_and_specs(list_pages_files(pages_dir), out, ExtractConfig())
+    chunk = specs.slice(0, 2)
+    calls = _spy_extract(writer)
+    first = writer(chunk)
+    assert len(calls) == 2
+    second = writer(chunk)
+    assert len(calls) == 2, "a retried chunk must not extract a marked unit"
+    assert second.select(["pid", "n"]).equals(first.select(["pid", "n"]))
+    assert second["read_s"].null_count == 2
+
+
+def test_kill_mid_chunk_resumes_byte_identical(ray_session, tmp_path):
+    """A chunk killed after its first unit: that unit's marker survives,
+    the rerun reuses it instead of re-extracting, and final/ is
+    byte-identical (file names and SHA-1s) to a clean run's."""
+    from ocr_suite_ray.pipelines.extract import list_pages_files
+
+    pages = str(tmp_path / "pages")
+    _write_pages(pages, (60, 40), row_group_size=24)
+    out = str(tmp_path / "out")
+    cfg = ExtractConfig()
+    writer, specs = _writer_and_specs(list_pages_files(pages), out, cfg)
+    calls = _spy_extract(writer, fail_on=2)
+    with pytest.raises(RuntimeError):
+        writer(specs.slice(0, 2))
+    assert len(calls) == 2
+    assert len(os.listdir(os.path.join(out, "_wave_tmp", "_units"))) == 1
+
+    s = run_pipeline(pages, out, cfg)
+    assert s["partitions_processed"] == 2
+    rec = lin.load_records(out)[0]
+    assert rec.stage_metrics["units_reused"] == 1
+    assert rec.stage_metrics["units"] == specs.filter(
+        pa.compute.equal(specs["partition_id"], 0)
+    ).num_rows
+
+    clean = str(tmp_path / "clean")
+    run_pipeline(pages, clean, cfg)
+    assert _final_digest(out) == _final_digest(clean)
+
+
+def test_lineage_records_partition_costs(ray_session, tmp_path):
+    """Each lineage record carries its own partition's cost: unit counts
+    and busy seconds per phase that sum to the summary's pool_*_s, and a
+    bigger partition records more units, rows and extract time."""
+    pages = str(tmp_path / "pages")
+    _write_pages(pages, (240, 24), row_group_size=64)
+    out = str(tmp_path / "out")
+    s = run_pipeline(pages, out, ExtractConfig())
+    recs = lin.load_records(out)
+    big, small = recs[0].stage_metrics, recs[1].stage_metrics
+    for phase in ("read_s", "extract_s", "tag_s", "write_s"):
+        total = sum(r.stage_metrics[phase] for r in recs.values())
+        assert abs(total - s[f"pool_{phase}"]) <= 0.005 + 1e-4 * len(recs), phase
+    assert big["units"] > small["units"] == 1
+    assert big["units_reused"] == small["units_reused"] == 0
+    assert recs[0].rows_done > recs[1].rows_done
+    assert big["extract_s"] > small["extract_s"]

@@ -54,6 +54,7 @@ only when the set of done partitions changed (``done_fingerprint_set``).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -923,6 +924,17 @@ def _link_partitions(parts: list, tmp_final: str) -> "pa.Table | None":
     return _local_best(pa.concat_tables(dups)) if dups else None
 
 
+def _write_winners(path: str, t: pa.Table) -> int:
+    """Root of the finalize's winners tree: re-nest the spans, write the
+    winners to ``path`` (tmp + rename) and return only their row count."""
+    from ocr_suite_ray.stages.dedup import decode_spans
+
+    t = decode_spans(t)
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
+    return t.num_rows
+
+
 def _finalize_linked(extracted_dir: str, tmp_final: str) -> dict:
     """Finalize for the is_dup-partitioned layout: unique-url files are
     HARDLINKED into the final store (zero data movement — the extract phase
@@ -937,9 +949,10 @@ def _finalize_linked(extracted_dir: str, tmp_final: str) -> dict:
     (``cpu_chunks``) that links their unique-url files and reduces their
     dup files — at 10^6+ output files the per-file metadata ops run across
     the pool instead of serializing on the driver, and the tree over the
-    tasks' dup winners needs no Dataset execution ramp. The driver only
-    ever holds partition names."""
-    from ocr_suite_ray.stages.dedup import _local_best, decode_spans
+    tasks' dup winners needs no Dataset execution ramp; its root task
+    writes ``winners.parquet`` (none without dups). The driver only ever
+    holds partition names and the winners' row count."""
+    from ocr_suite_ray.stages.dedup import _local_best
 
     os.makedirs(tmp_final, exist_ok=True)
     parts = [
@@ -950,11 +963,11 @@ def _finalize_linked(extracted_dir: str, tmp_final: str) -> dict:
     ]
     chunks = cpu_chunks(parts)
     link = remote_fn(_link_partitions)
-    winners = tree_reduce_refs(
-        [link.remote(c, tmp_final) for c in chunks], _local_best, decode_spans
+    tree_reduce_refs(
+        [link.remote(c, tmp_final) for c in chunks],
+        _local_best,
+        functools.partial(_write_winners, os.path.join(tmp_final, "winners.parquet")),
     )
-    if winners is not None:
-        pq.write_table(winners, os.path.join(tmp_final, "winners.parquet"))
     return {"link": len(chunks)}
 
 

@@ -2132,6 +2132,29 @@ LEFT JOIN (
 )
 
 
+def _split_grams(t):
+    """``q_curation_v2``'s eval 5-gram table: the kind-0 rows of the fused
+    artifact table (``None`` if there are none)."""
+    import pyarrow.compute as pc
+
+    if t is None:
+        return None
+    g = t.filter(pc.equal(t["kind"], 0)).select(["s"])
+    return g.rename_columns(["gram"]) if g.num_rows else None
+
+
+def _split_counts(t):
+    """``q_curation_v2``'s unigram counts: the kind-1 rows of the fused
+    artifact table."""
+    import pyarrow.compute as pc
+
+    if t is None:
+        return None
+    return t.filter(pc.equal(t["kind"], 1)).select(["s", "n"]).rename_columns(
+        ["tok", "n"]
+    )
+
+
 def q_curation_v2(sf_dir: str):
     """Full-stack curation composite: quality gate (>= 70) → benchmark
     decontamination (drop docs sharing a word-5-gram with the eval slice
@@ -2158,7 +2181,7 @@ def q_curation_v2(sf_dir: str):
 
     from ocr_suite_ray.stages.contamination import _word_ngrams, ngram_hit_counts
     from ocr_suite_ray.stages.relational import topk_per_group
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, remote_fn
     from ocr_suite_ray.stages.text_ops import (
         _tokens,
         lang_id_batch,
@@ -2204,25 +2227,8 @@ def q_curation_v2(sf_dir: str):
         materialize=False,
     )
 
-    import ray as _ray
-
-    @_ray.remote
-    def _split_grams(t):
-        if t is None:
-            return None
-        g = t.filter(pc_mod.equal(t["kind"], 0)).select(["s"])
-        return g.rename_columns(["gram"]) if g.num_rows else None
-
-    @_ray.remote
-    def _split_counts(t):
-        if t is None:
-            return None
-        return t.filter(pc_mod.equal(t["kind"], 1)).select(["s", "n"]).rename_columns(
-            ["tok", "n"]
-        )
-
-    gram_ref = _split_grams.remote(combined_ref)
-    counts_ref = _split_counts.remote(combined_ref)
+    gram_ref = remote_fn(_split_grams).remote(combined_ref)
+    counts_ref = remote_fn(_split_counts).remote(combined_ref)
 
     def _enrich(t: pa_mod.Table) -> pa_mod.Table:
         t = t.filter(pa_mod.array(t["doc_id"].to_numpy() % 50 != 0))

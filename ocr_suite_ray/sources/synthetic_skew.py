@@ -95,6 +95,19 @@ def make_skew_capture_rows(i: int, seed: int = 42, **mix) -> list[dict]:
     return rows
 
 
+def _write_skew_shard(out_dir: str, k: int, lo: int, hi: int, seed: int,
+                      mix: dict) -> str:
+    """Write pages ``lo..hi`` of the skewed mix as shard ``k``."""
+    rows: list[dict] = []
+    for i in range(lo, hi):
+        rows.extend(make_skew_capture_rows(i, seed, **mix))
+    path = os.path.join(out_dir, f"pages_{k:05d}.parquet")
+    tmp = path + ".tmp"
+    pq.write_table(rows_to_table(rows), tmp, row_group_size=4096)
+    os.replace(tmp, path)
+    return path
+
+
 def generate_skew_corpus(
     out_dir: str,
     n_pages: int,
@@ -107,6 +120,8 @@ def generate_skew_corpus(
     """Skewed-mix sibling of ``synthetic.generate_corpus`` — distributed
     via one Ray task per shard, idempotent via a mix-keyed marker."""
     import ray
+
+    from ocr_suite_ray.state.dupset import remote_fn
 
     marker = os.path.join(
         out_dir,
@@ -124,19 +139,11 @@ def generate_skew_corpus(
     bounds = np.linspace(0, n_pages, n_files + 1, dtype=np.int64)
     mix = {"p_giant": p_giant, "p_pdf": p_pdf, "p_bad_pdf": p_bad_pdf}
 
-    @ray.remote
-    def _write(k: int) -> str:
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        rows: list[dict] = []
-        for i in range(lo, hi):
-            rows.extend(make_skew_capture_rows(i, seed, **mix))
-        path = os.path.join(out_dir, f"pages_{k:05d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(rows_to_table(rows), tmp, row_group_size=4096)
-        os.replace(tmp, path)
-        return path
-
-    paths = sorted(ray.get([_write.remote(k) for k in range(n_files)]))
+    write = remote_fn(_write_skew_shard)
+    paths = sorted(ray.get([
+        write.remote(out_dir, k, int(bounds[k]), int(bounds[k + 1]), seed, mix)
+        for k in range(n_files)
+    ]))
     with open(marker, "w") as fh:
         fh.write("ok")
     return paths

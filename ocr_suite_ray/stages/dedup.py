@@ -1,4 +1,4 @@
-"""Newest-capture-wins dedup by url — the engine's keyed exact dedup.
+"""Newest-capture-wins dedup by url — the flagship's winner rule.
 
 Reference analogue: ``text_entries.value TEXT UNIQUE`` + ``INSERT OR IGNORE``
 (store each distinct value once, ``src/common/db/updates/v3.inl:15-20``,
@@ -8,44 +8,26 @@ semantics is: one output row per ``url``, winner = max ``warc_ts``,
 deterministic content-tuple tiebreak when timestamps tie — the result is
 identical at any parallelism, partitioning, or replay.
 
-All stages are Arrow-native (``batch_format="pyarrow"``); the nested
-``spans`` column is carried as three parallel plain-list columns through the
-exchange (Ray's shuffle/aggregate machinery mishandles list<struct> in
-several code paths) and re-nested zero-copy on the way out.
+The flagship applies it in ``pipelines/extract._finalize_linked``: the
+dup-url membership (``state/dupset.py``) routes every capture of a
+repeated url into the store's ``is_dup=1`` files, each finalize task keeps
+the newest capture per url of its partitions (``_local_best``), and one
+tree root keeps the newest across tasks and writes the winners. Captures
+with a null url are never dups and pass through unchanged.
 
-Strategies (same result):
-
-- ``partial`` (default): broadcast dup-url membership splits the corpus
-  into unique rows (pass through untouched) and the dup-rate-bound
-  subset, which alone takes a ``groupby(url)`` reduce — the flagship's
-  O(dup-rate) path. ``num_partitions`` is not used here (the dup subset
-  is small by contract); the membership exchange is ``narrow``.
-- ``bucket`` (scale path for high dup rates): classic hash-partitioned
-  reduce.
-  1. within-block combiner: vectorized keep-max-per-url (cuts duplicate
-     captures before any data moves);
-  2. add ``bucket = hash(url) % P``;
-  3. ``groupby(bucket).map_groups`` — ONE shuffle; the UDF runs once per
-     *bucket* (P calls total, not per url) and does the same vectorized
-     keep-last. P bounds per-task memory: size P so total_bytes/P fits a
-     worker (at trillion-row scale P grows with the input, the shuffle stays
-     all-to-all once).
-  Winner order = (warc_ts, content tuple) multi-key sort (``ORDER_KEYS``),
-  so "keep last" == newest-capture-wins with a deterministic tiebreak.
-- ``map_groups``: the obvious per-url ``groupby(url).map_groups`` — one
-  Python call per url group; kept for small inputs and as the semantics
-  oracle for the scale path.
+The nested ``spans`` column is carried as three parallel plain-list
+columns between tasks (``encode_spans``; Ray's exchange machinery
+mishandles list<struct> in several code paths) and re-nested zero-copy at
+the root (``decode_spans``).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ocr_suite_ray.schemas import EXTRACTED_SCHEMA, SPAN_TYPE
 
-BUCKET_COL = "__bucket"
 _SP_START = "__spans_start"
 _SP_STOP = "__spans_stop"
 _SP_KIND = "__spans_kind"
@@ -139,120 +121,3 @@ def _keep_last_per_url(t: pa.Table) -> pa.Table:
 
 
 _local_best = _keep_last_per_url  # combiner == finisher (associative reduce)
-
-
-def _add_bucket(t: pa.Table, num_partitions: int) -> pa.Table:
-    """Hash-bucket the url column (partitioning only — the bucket is dropped
-    before output, so the hash needs determinism within a run, not across
-    library versions; pandas' fixed-key siphash is C-speed per element)."""
-    import pandas as pd
-
-    buckets = (
-        pd.util.hash_array(t["url"].to_numpy(zero_copy_only=False)) % num_partitions
-    ).astype(np.int32)
-    return t.append_column(BUCKET_COL, pa.array(buckets, pa.int32()))
-
-
-def dedup_latest(
-    ds,
-    strategy: str = "partial",
-    num_partitions: int = 32,
-    bloom_threshold: int = 1_000_000,
-):
-    """Dataset[extracted rows] -> Dataset[one row per url].
-
-    Default ``partial``: duplicate-capture urls are the rare case (~2% in a
-    crawl), so the full-payload shuffle of a naive groupby is ~98% wasted
-    motion. Instead:
-
-    1. ONE url-column-only aggregate finds urls with >1 capture (tiny
-       exchange: key strings + partial counts, never the text payload);
-    2. the dup-url set is broadcast; rows of unique urls stream straight
-       from the extracted store to the output — zero shuffle, zero
-       re-encode, Arrow pass-through;
-    3. only the dup subset (2x dup-url count rows) goes through the exact
-       per-url groupby reduce.
-
-    At trillion-row scale the broadcast set becomes a Bloom filter (false
-    positives merely route extra rows through the exact path — semantics
-    unchanged); the groupby in (3) scales with the dup rate, not the corpus.
-    """
-    if strategy == "partial":
-        return _dedup_partial(ds, max_exact=bloom_threshold)
-    if strategy in ("agg_join",):  # legacy alias for the bucket scale path
-        strategy = "bucket"
-    if strategy == "map_groups":
-        def _best_group(t: pa.Table) -> pa.Table:
-            return _local_best(t.combine_chunks())
-
-        enc = ds.map_batches(encode_spans, batch_format="pyarrow")
-        out = enc.groupby("url").map_groups(_best_group, batch_format="pyarrow")
-        return out.map_batches(decode_spans, batch_format="pyarrow")
-    if strategy != "bucket":
-        raise ValueError(f"unknown dedup strategy: {strategy}")
-
-    ranked = ds.map_batches(
-        lambda t: _add_bucket(_local_best(encode_spans(t)), num_partitions),
-        batch_format="pyarrow",
-    )
-
-    def _bucket_best(t: pa.Table) -> pa.Table:
-        t = _keep_last_per_url(t.combine_chunks())
-        return decode_spans(t.drop_columns([BUCKET_COL]))
-
-    return ranked.groupby(BUCKET_COL).map_groups(_bucket_best, batch_format="pyarrow")
-
-
-def _dedup_partial(ds, max_exact: int = 1_000_000):
-    import ray
-
-    from ocr_suite_ray.state.dupset import (
-        DupMembership,
-        dup_key_table_ref,
-        dup_meta_ref,
-        membership_ref,
-    )
-
-    # materialize the input ONCE: this tier consumes it three times (the
-    # dup-key scan, the uniques filter, the dups filter), and a lazy
-    # upstream (an extraction pipeline) would re-execute per pass. The
-    # blocks live in the (spillable) object store; for a bare parquet
-    # read this trades two disk re-reads for one store copy — the
-    # flagship never routes here (it dup-scans parquet footers directly)
-    ds = ds.materialize()
-
-    # dup-url membership is built distributively and broadcast as ONE
-    # object-store payload (exact set below max_exact keys, Bloom above —
-    # false positives only route a url through the exact reduce, which keeps
-    # a single capture unchanged); the driver sees two scalars, never keys
-    dup_ref = dup_key_table_ref(ds)
-    n_dups, _fp = ray.get(dup_meta_ref(dup_ref))
-    if n_dups == 0:
-        return ds
-    member_box = [membership_ref(dup_ref, max_exact=max_exact)]
-
-    def _uniques(t: pa.Table) -> pa.Table:
-        member = DupMembership(ray.get(member_box[0]))
-        return t.filter(pc.invert(member.mask(t["url"])))
-
-    def _dups(t: pa.Table) -> pa.Table:
-        member = DupMembership(ray.get(member_box[0]))
-        return t.filter(member.mask(t["url"]))
-
-    uniques = ds.map_batches(_uniques, batch_format="pyarrow")
-
-    def _best_group(t: pa.Table) -> pa.Table:
-        return decode_spans(_local_best(t.combine_chunks()))
-
-    # encode spans BEFORE the groupby exchange (module invariant: raw
-    # list<struct> must never cross a shuffle — the map_groups strategy
-    # already does this; the partial path previously shuffled dup-subset
-    # rows with their struct spans intact)
-    winners = (
-        ds.map_batches(
-            lambda t: encode_spans(_dups(t)), batch_format="pyarrow"
-        )
-        .groupby("url")
-        .map_groups(_best_group, batch_format="pyarrow")
-    )
-    return uniques.union(winners)

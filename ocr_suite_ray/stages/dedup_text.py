@@ -25,6 +25,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 # MinHash parameters (fixed => deterministic): 128 permutations, 32 bands x 4
 # rows — S-curve threshold (1/b)^(1/r) ≈ 0.42, so recall at jaccard >= 0.5 is
@@ -252,7 +253,7 @@ def cross_corpus_dedup(
     import pyarrow as pa
 
     from ocr_suite_ray.stages._bcast import cached_build
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, remote_fn
 
     if route not in ("auto", "broadcast", "shuffle"):
         raise ValueError(
@@ -272,9 +273,7 @@ def cross_corpus_dedup(
             _union,
             materialize=False,
         )
-        n_ref = ray.get(
-            ray.remote(lambda t: 0 if t is None else t.num_rows).remote(hashes_ref)
-        )
+        n_ref = ray.get(remote_fn(_num_rows).remote(hashes_ref))
         if n_ref <= max_broadcast_rows:
             def _index(t):
                 if t is None or t.num_rows == 0:
@@ -440,6 +439,56 @@ def _num_rows(t) -> int:
     return 0 if t is None else t.num_rows
 
 
+def _fold_gram_runs(files: list, hash_mode: bool, min_count: int) -> pa.Table:
+    """``dup_span_scrub`` pass-1 fold: the grams of ``files``' (gram, n)
+    runs whose summed n reaches ``min_count``."""
+    import pyarrow.parquet as pq
+
+    t = pa.concat_tables([pq.read_table(f) for f in files])
+    if hash_mode:
+        v = t["gram"].combine_chunks().to_numpy(zero_copy_only=False)
+        n = t["n"].combine_chunks().to_numpy(zero_copy_only=False)
+        order = np.argsort(v, kind="stable")
+        sv, sn = v[order], n[order]
+        if len(sv) == 0:
+            return pa.table({"gram": pa.array([], pa.uint64())})
+        new = np.ones(len(sv), bool)
+        new[1:] = sv[1:] != sv[:-1]
+        idx = np.nonzero(new)[0]
+        sums = np.add.reduceat(sn, idx)
+        return pa.table(
+            {"gram": pa.array(sv[idx][sums >= min_count], pa.uint64())}
+        )
+    df = t.to_pandas()
+    g = df.groupby("gram", as_index=False)["n"].sum()
+    return pa.table(
+        {"gram": pa.array(g.loc[g["n"] >= min_count, "gram"], pa.string())}
+    )
+
+
+def _merge_dup_grams(hash_mode: bool, *tbls):
+    """``dup_span_scrub``'s dup-gram table: the folds' disjoint outputs as
+    one distinct table (``None`` if all are empty)."""
+    import pyarrow.compute as pc
+
+    tbls = [t for t in tbls if t is not None and t.num_rows]
+    if not tbls:
+        return None
+    merged = pa.concat_tables(tbls)
+    if hash_mode:
+        # SORTED dedup: the scrub probe is then a searchsorted
+        # membership test against the plasma-backed buffer — zero
+        # per-worker copy and no per-batch hash-set build, which is
+        # what makes a corpus-bound dup table (the gram-dense worst
+        # case) probe-able at all. Slots are disjoint, so this is a
+        # sorted concat of already-distinct tables.
+        vals = np.unique(
+            merged["gram"].combine_chunks().to_numpy(zero_copy_only=False)
+        )
+        return pa.table({"gram": pa.array(vals, pa.uint64())})
+    return pa.table({"gram": pc.unique(merged["gram"].combine_chunks())})
+
+
 def dup_span_scrub(
     ds,
     id_col: str = "doc_id",
@@ -590,31 +639,6 @@ def dup_span_scrub(
             "rows": pa.array(rows, pa.int64()),
         })
 
-    @ray.remote
-    def _fold(files: list) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        if hash_mode:
-            v = t["gram"].combine_chunks().to_numpy(zero_copy_only=False)
-            n = t["n"].combine_chunks().to_numpy(zero_copy_only=False)
-            order = np.argsort(v, kind="stable")
-            sv, sn = v[order], n[order]
-            if len(sv) == 0:
-                return pa.table({"gram": pa.array([], pa.uint64())})
-            new = np.ones(len(sv), bool)
-            new[1:] = sv[1:] != sv[:-1]
-            idx = np.nonzero(new)[0]
-            sums = np.add.reduceat(sn, idx)
-            return pa.table(
-                {"gram": pa.array(sv[idx][sums >= min_count], pa.uint64())}
-            )
-        df = t.to_pandas()
-        g = df.groupby("gram", as_index=False)["n"].sum()
-        return pa.table(
-            {"gram": pa.array(g.loc[g["n"] >= min_count, "gram"], pa.string())}
-        )
-
     def _schedule_folds(meta):
         fold_refs = []
         if not len(meta):
@@ -664,28 +688,11 @@ def dup_span_scrub(
             # reservation is what bounds CONCURRENT folds (3x admitted
             # ~10 on the 10x drive and peaked the box at 86% RAM)
             fold_refs.append(
-                _fold.options(memory=max(64 << 20, 5 * est)).remote(files)
+                remote_fn(_fold_gram_runs)
+                .options(memory=max(64 << 20, 5 * est))
+                .remote(files, hash_mode, min_count)
             )
         return fold_refs
-
-    @ray.remote
-    def _merge_dups(*tbls):
-        tbls = [t for t in tbls if t is not None and t.num_rows]
-        if not tbls:
-            return None
-        merged = pa.concat_tables(tbls)
-        if hash_mode:
-            # SORTED dedup: the scrub probe is then a searchsorted
-            # membership test against the plasma-backed buffer — zero
-            # per-worker copy and no per-batch hash-set build, which is
-            # what makes a corpus-bound dup table (the gram-dense worst
-            # case) probe-able at all. Slots are disjoint, so this is a
-            # sorted concat of already-distinct tables.
-            vals = np.unique(
-                merged["gram"].combine_chunks().to_numpy(zero_copy_only=False)
-            )
-            return pa.table({"gram": pa.array(vals, pa.uint64())})
-        return pa.table({"gram": pc.unique(merged["gram"].combine_chunks())})
 
     try:
         # Pass 1 executes HERE (the to_pandas drains the corpus scan);
@@ -694,7 +701,10 @@ def dup_span_scrub(
         # ~tens of GB of scratch per failed attempt.
         meta = ds.map_batches(_write_runs, batch_format="pyarrow").to_pandas()
         fold_refs = _schedule_folds(meta)
-        dup_ref = _merge_dups.remote(*fold_refs) if fold_refs else None
+        dup_ref = (
+            remote_fn(_merge_dup_grams).remote(hash_mode, *fold_refs)
+            if fold_refs else None
+        )
         if dup_ref is not None:
             # Count in a task first: an over-budget table must raise
             # without ever reaching driver memory.
@@ -1121,6 +1131,61 @@ class _ProbeVerifier:
 _MINHASH_AUTO_MD5_LIMIT = 2_000_000
 
 
+def _cand_ids(t):
+    """The distinct doc ids of a candidate-pair table (``None`` if none)."""
+    import pyarrow.compute as pc
+
+    if t is None:
+        return None
+    return pc.unique(
+        pa.concat_arrays([t["id_a"].combine_chunks(), t["id_b"].combine_chunks()])
+    )
+
+
+def _verify_all_pairs(threshold: float, cand_t, sh_t):
+    """``minhash_lsh_pairs``' narrow verify: the exact Jaccard of every
+    candidate pair in ``cand_t`` from the packed shingle sets of ``sh_t``,
+    the pairs at or above ``threshold``."""
+    if cand_t is None or sh_t is None:
+        return pa.table(
+            {
+                "id_a": pa.array([], pa.int64()),
+                "id_b": pa.array([], pa.int64()),
+                "jaccard_e4": pa.array([], pa.int64()),
+            }
+        )
+    by_id = dict(zip(sh_t["__doc"].to_pylist(), sh_t["grams"].to_pylist()))
+    ia, ib, je = [], [], []
+    for a, b in zip(cand_t["id_a"].to_pylist(), cand_t["id_b"].to_pylist()):
+        sa, sb = by_id.get(a), by_id.get(b)
+        if sa is None or sb is None:
+            continue
+        va = np.frombuffer(sa, np.uint64)
+        vb = np.frombuffer(sb, np.uint64)
+        if len(va) == 0 and len(vb) == 0:
+            jac = 1.0
+        else:
+            inter = np.intersect1d(va, vb, assume_unique=True).size
+            jac = inter / (len(va) + len(vb) - inter)
+        if jac >= threshold:
+            ia.append(a)
+            ib.append(b)
+            je.append(int(np.floor(jac * 10000 + 0.5)))
+    return pa.table(
+        {
+            "id_a": pa.array(ia, pa.int64()),
+            "id_b": pa.array(ib, pa.int64()),
+            "jaccard_e4": pa.array(je, pa.int64()),
+        }
+    )
+
+
+def _split_blocks(t, rows_per_block: int):
+    """``t`` as slices of ``rows_per_block`` rows, one return each."""
+    for s in range(0, t.num_rows, rows_per_block):
+        yield t.slice(s, rows_per_block)
+
+
 def minhash_lsh_pairs(
     ds,
     id_col: str = "doc_id",
@@ -1182,7 +1247,7 @@ def minhash_lsh_pairs(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ocr_suite_ray.state.dupset import coalesce_reduce
+    from ocr_suite_ray.state.dupset import coalesce_reduce, remote_fn
 
     # fail fast on typos: an unknown value would otherwise silently take the
     # md5 / shuffle route, whose 10x failure modes (blown signature budget,
@@ -1288,20 +1353,8 @@ def minhash_lsh_pairs(
 
     cand_ref = coalesce_reduce(cand, _dedup_pairs, materialize=False)
 
-    @ray.remote
-    def _cand_ids(t):
-        if t is None:
-            return None
-        return pc.unique(
-            pa.concat_arrays(
-                [t["id_a"].combine_chunks(), t["id_b"].combine_chunks()]
-            )
-        )
-
-    ids_box = [_cand_ids.remote(cand_ref)]
-    n_cand = ray.get(
-        ray.remote(lambda t: 0 if t is None else t.num_rows).remote(cand_ref)
-    )
+    ids_box = [remote_fn(_cand_ids).remote(cand_ref)]
+    n_cand = ray.get(remote_fn(_num_rows).remote(cand_ref))
     if n_cand == 0:
         return rd.from_pandas(_empty_out)
 
@@ -1341,44 +1394,9 @@ def minhash_lsh_pairs(
             materialize=False,
         )
 
-        @ray.remote
-        def _verify_all(cand_t, sh_t):
-            if cand_t is None or sh_t is None:
-                return pa.table(
-                    {
-                        "id_a": pa.array([], pa.int64()),
-                        "id_b": pa.array([], pa.int64()),
-                        "jaccard_e4": pa.array([], pa.int64()),
-                    }
-                )
-            by_id = dict(
-                zip(sh_t["__doc"].to_pylist(), sh_t["grams"].to_pylist())
-            )
-            ia, ib, je = [], [], []
-            for a, b in zip(cand_t["id_a"].to_pylist(), cand_t["id_b"].to_pylist()):
-                sa, sb = by_id.get(a), by_id.get(b)
-                if sa is None or sb is None:
-                    continue
-                va = np.frombuffer(sa, np.uint64)
-                vb = np.frombuffer(sb, np.uint64)
-                if len(va) == 0 and len(vb) == 0:
-                    jac = 1.0
-                else:
-                    inter = np.intersect1d(va, vb, assume_unique=True).size
-                    jac = inter / (len(va) + len(vb) - inter)
-                if jac >= threshold:
-                    ia.append(a)
-                    ib.append(b)
-                    je.append(int(np.floor(jac * 10000 + 0.5)))
-            return pa.table(
-                {
-                    "id_a": pa.array(ia, pa.int64()),
-                    "id_b": pa.array(ib, pa.int64()),
-                    "jaccard_e4": pa.array(je, pa.int64()),
-                }
-            )
-
-        return rd.from_arrow_refs([_verify_all.remote(cand_ref, sh_ref)])
+        return rd.from_arrow_refs(
+            [remote_fn(_verify_all_pairs).remote(threshold, cand_ref, sh_ref)]
+        )
 
     # wide verify (above narrow_verify_limit): grams are computed ONCE per
     # candidate doc, then TWO bucket-shuffled map-side joins attach each
@@ -1428,13 +1446,9 @@ def minhash_lsh_pairs(
     # single pool actor (block = task granularity) and the verify runs
     # serially no matter the pool size (the first completed 10M drive
     # spent its verify phase on one core this way)
-    @ray.remote(num_returns="dynamic")
-    def _split_blocks(t, rows_per_block: int):
-        for s in range(0, t.num_rows, rows_per_block):
-            yield t.slice(s, rows_per_block)
-
     block_rows = max(16_384, n_cand // 128 + 1)
-    pair_refs = list(ray.get(_split_blocks.remote(cand_ref, block_rows)))
+    split = remote_fn(_split_blocks).options(num_returns="dynamic")
+    pair_refs = list(ray.get(split.remote(cand_ref, block_rows)))
     pairs_ds = rd.from_arrow_refs(pair_refs)
     route = wide_verify
     if route == "auto":

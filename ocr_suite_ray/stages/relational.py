@@ -394,15 +394,16 @@ def narrow_grouped_sum(
     finish_fn=None,
     empty_schema: "pa.Schema | None" = None,
 ):
-    """Merge pre-aggregated per-block partials with a remote TREE instead of
-    a sort-based all-to-all: every fan-in re-aggregates (sum) on ``keys``,
-    so each merge holds at most the distinct-group table and the executor's
-    ~2 s shuffle ramp is never paid. The narrow counterpart of
-    ``groupby(keys).aggregate(Sum...)`` for aggregates whose DISTINCT group
-    table fits one worker (TPC-H Q1 flags, key x hour windows, language
-    counts); corpus-keyed aggregates (distinct texts, urls) must keep the
-    hash-partitioned shuffle."""
-    from ocr_suite_ray.state.dupset import block_refs, dataset_from_root
+    """Merge pre-aggregated per-block partials with remote TREES instead
+    of a sort-based all-to-all: every fan-in re-aggregates (sum) on
+    ``keys``, and the executor's ~2 s shuffle ramp is never paid. The
+    narrow counterpart of ``groupby(keys).aggregate(Sum...)``. The merge
+    runs on the keyed reduce's shard roots (``dataset_from_shards``):
+    ``k = shard_count(rows)`` trees split on the first key, each one
+    output block, so only a shard root's distinct groups, not the whole
+    group table, must fit one worker; ``finish_fn`` runs per root and sees
+    every row of its first-key values."""
+    from ocr_suite_ray.state.dupset import dataset_from_shards
 
     def _merge(t: pa.Table) -> pa.Table:
         g = t.group_by(keys).aggregate([(c, "sum") for c in sum_cols])
@@ -411,7 +412,7 @@ def narrow_grouped_sum(
             keys + sum_cols
         )
 
-    return dataset_from_root(block_refs(partials), _merge, finish_fn, empty_schema)
+    return dataset_from_shards(partials, keys[0], _merge, finish_fn, empty_schema)
 
 
 def count_distinct_by_group(
@@ -570,9 +571,9 @@ def pivot_counts(ds, key_col: str, pivot_col: str, values: list,
 
     Execution shape: per-block Arrow C hash-agg combiner collapses each
     block to its distinct (key, pivot) counts; ``narrow_grouped_sum``
-    tree-merges the partials (contract: the distinct key x pivot table
-    fits one worker — the same bound as the time-hierarchy counts); the
-    pivot itself runs once at the tree root over that small table. No
+    tree-merges the partials on shard roots split by ``key_col`` (bound:
+    a shard root's distinct key x pivot rows fit one worker); the pivot
+    runs at each root, which holds every pivot value of its keys. No
     sort-based shuffle, nothing corpus-sized leaves the read tasks.
     """
     import numpy as np

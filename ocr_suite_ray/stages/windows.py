@@ -6,7 +6,8 @@ needs real event-time operators. Ray Data has no native watermarks, so (per
 the public Ray guidance) windows are expressed as grouped aggregates:
 
 - tumbling window = vectorized truncation of ts to the window start +
-  ONE hash aggregate over (key, window) — no per-group Python;
+  per-block Arrow hash aggregates over (key, window), merged on the keyed
+  reduce's shard roots (``narrow_grouped_sum``) — no per-group Python;
 - sessionization = ``groupby(key).map_groups`` over ts-sorted groups
   (ordering restored inside each group, mirroring how the reference's
   dedup/sort stage restores per-url capture order).
@@ -25,24 +26,22 @@ def tumbling_window_agg(
     ts_col: str,
     value_col: str,
     every: str = "hour",
-    exchange: str = "narrow",
 ):
     """Per (key, window) count + sum + mean. ``every`` is a pyarrow
     floor_temporal unit ("hour", "day", "minute").
 
-    Combine-before-shuffle: each block collapses to one partial row per
-    (key, window) with an Arrow hash aggregate, so the exchange moves
+    Combine-before-merge: each block collapses to one partial row per
+    (key, window) with an Arrow hash aggregate, so the merge moves
     O(groups x blocks) partials instead of every event row; the mean is
     derived from total sum / total count after the merge.
 
-    ``exchange="narrow"`` (default) merges the partials in a remote TREE,
-    re-aggregating at every fan-in — each merge holds at most the distinct
-    (key, window) table, and nothing pays a sort-based all-to-all (~2 s of
-    fixed executor cost at bench scale for a partial table of a few
-    thousand rows). Contract: the DISTINCT group table must fit one
-    worker. When keys x windows outgrow that (billions of groups at
-    100 TB), pass ``exchange="shuffle"`` for the hash-partitioned groupby
-    — the same partials, exchanged all-to-all."""
+    The partials merge on ``narrow_grouped_sum``'s shard roots: k =
+    ``shard_count(rows)`` remote trees split on ``key_col``, re-aggregating
+    at every fan-in, with no sort-based all-to-all (~2 s of fixed executor
+    cost at bench scale). A shard root holds the distinct (key, window)
+    groups of its keys, so at row-scale group counts (hourly windows over
+    many users) k grows with the partial rows and no one worker holds the
+    whole group table."""
 
     def _win_partial(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -88,38 +87,9 @@ def tumbling_window_agg(
             }
         )
 
-    partials = ds.map_batches(_win_partial, batch_format="pyarrow")
-
-    if exchange == "shuffle":
-        # grouped_reduce_c, NOT Dataset.aggregate: with fine windows over
-        # high-cardinality keys the group count is row-scale (~1 partial
-        # row per group), and AggregateFn's reduce walks those rows in
-        # Python — the 100M-event drive measured 35 s at 200k events/4
-        # cpus for the aggregate form vs ~3 s for the bucket+C-fold form
-        # (same defect class as the round-3 C-reduce audit).
-        from ocr_suite_ray.stages.relational import grouped_reduce_c
-
-        def _fold(g: "pd.DataFrame") -> "pd.DataFrame":
-            # min_count=1 on sum_value: an all-null window's SUM must stay
-            # NULL (SQL semantics; the narrow exchange's Arrow re-agg keeps
-            # it NULL — plain .sum() would coerce it to 0 and the two
-            # exchange modes would disagree)
-            # dropna=False: the narrow tier's Arrow re-agg KEEPS a
-            # null-key group; the pandas default would drop it and the
-            # two exchange modes would return different rows
-            gb = g.groupby([key_col, "window_start"], sort=False, dropna=False)
-            out = gb[["n_events", "n_valid"]].sum()
-            out["sum_value"] = gb["sum_value"].sum(min_count=1)
-            return out.reset_index()[
-                [key_col, "window_start", "sum_value", "n_events", "n_valid"]
-            ]
-
-        return grouped_reduce_c(
-            partials, [key_col, "window_start"], _fold
-        ).map_batches(_finish, batch_format="pyarrow")
-
     from ocr_suite_ray.stages.relational import narrow_grouped_sum
 
+    partials = ds.map_batches(_win_partial, batch_format="pyarrow")
     # all-blocks-empty fallback schema: take the real key/value types from
     # the input when they are already known (parquet metadata), so a string
     # key or int value column doesn't come back int64/float64-typed; an

@@ -26,8 +26,13 @@ tier; not re-driven at 10x). A file-scan leaf holds the distinct keys
 of its chunk, 1/CPUs of the input files (``cpu_chunks``), before any
 shard split. Only the merged dup-key table and the
 membership build are dup-rate bound (one worker must hold the dup keys
-once). Beyond that, use ``dedup_latest(strategy="bucket")`` — the full
-shuffle needs no membership.
+once), as is the flagship's winners reduce (its root task holds one
+winning row per dup url).
+
+The same shard roots (``shard_roots``) run the catalog's per-key sums
+(``dataset_from_shards`` under ``stages/relational.narrow_grouped_sum``):
+one output block per shard, so a shard root's groups, not the whole
+group table, must fit one worker.
 
 Reference analogue: the ``is_frame_processed`` semi-join / UNIQUE-index
 membership check (``src/common/database.cpp:58-60``), taken distributed.
@@ -102,7 +107,7 @@ def tree_reduce_refs(refs: list, combine_fn, final_fn=None, materialize: bool = 
     ramp for small narrow reductions."""
     import ray
 
-    root = remote_fn(_merge).remote(combine_fn, final_fn, *_tree_top(refs, combine_fn))
+    [root] = shard_roots(refs, 1, None, combine_fn, remote_fn(_merge), combine_fn, final_fn)
     return ray.get(root) if materialize else root
 
 
@@ -146,13 +151,21 @@ def root_block(schema, combine_fn, final_fn, *tables):
     return schema.empty_table() if schema is not None else pa.table({})
 
 
+def block_rows(ds) -> list:
+    """(ObjectRef, row count) per block of ``ds`` from Ray Data's block
+    metadata, executing ``ds`` once (see ``coalesce_reduce`` for why not
+    ``Dataset.to_arrow_refs``)."""
+    return [
+        (r, m.num_rows or 0)
+        for b in ds.iter_internal_ref_bundles()
+        for r, m in b.blocks
+    ]
+
+
 def refs_and_rows(ds) -> tuple:
-    """The block ObjectRefs of ``ds`` and their total row count from Ray
-    Data's block metadata, executing ``ds`` once (see ``coalesce_reduce``
-    for why not ``Dataset.to_arrow_refs``)."""
-    bundles = list(ds.iter_internal_ref_bundles())
-    refs = [r for b in bundles for r in b.block_refs]
-    return refs, sum(b.num_rows() or 0 for b in bundles)
+    """The block ObjectRefs of ``ds`` and their total row count."""
+    blocks = block_rows(ds)
+    return [r for r, _ in blocks], sum(n for _, n in blocks)
 
 
 def block_refs(ds) -> list:
@@ -169,10 +182,41 @@ def dataset_from_root(refs: list, combine_fn, final_fn=None,
     metadata task. The root's rows never pass through the driver."""
     import ray.data as rd
 
-    root = remote_fn(root_block).remote(
-        schema, combine_fn, final_fn, *_tree_top(refs, combine_fn)
+    root = remote_fn(root_block)
+    return rd.from_arrow_refs(
+        shard_roots(refs, 1, None, combine_fn, root, schema, combine_fn, final_fn)
     )
-    return rd.from_arrow_refs([root])
+
+
+def _counted_block(*args) -> tuple:
+    """:func:`root_block` and its row count."""
+    t = root_block(*args)
+    return t, t.num_rows
+
+
+def dataset_from_shards(ds, key_col: str, combine_fn, final_fn=None,
+                        schema: "pa.Schema | None" = None):
+    """The keyed reduce over ``ds``'s blocks of per-key partials as a
+    Dataset: one :func:`root_block` per shard of ``shard_roots``,
+    ``k = shard_count(rows)``. Each root holds every row of its keys, so
+    ``final_fn`` sees whole keys, and only a shard's distinct keys must fit
+    one worker. At ``k = 1`` it starts the same tasks as
+    ``dataset_from_root``. For ``k > 1`` the driver reads each root's row
+    count and keeps the non-empty roots as the blocks (the first root if
+    all are empty), so an empty shard never puts a zero-column or
+    fallback-typed block beside real ones."""
+    import ray
+    import ray.data as rd
+
+    blocks = block_rows(ds)
+    refs = [r for r, _ in blocks]
+    k = shard_count(sum(n for _, n in blocks))
+    if k == 1:
+        return dataset_from_root(refs, combine_fn, final_fn, schema)
+    root = remote_fn(_counted_block).options(num_returns=2)
+    roots = shard_roots(refs, k, key_col, combine_fn, root, schema, combine_fn, final_fn)
+    rows = ray.get([n for _, n in roots])
+    return rd.from_arrow_refs([b for (b, _), n in zip(roots, rows) if n] or [roots[0][0]])
 
 
 def coalesce_reduce(ds, combine_fn, final_fn=None, materialize: bool = True):
@@ -222,6 +266,24 @@ def _identity(t):
     return t
 
 
+def _then(f, g, t):
+    return g(f(t))
+
+
+def shard_roots(refs: list, k: int, key_col, combine_fn, root, *args) -> list:
+    """One ``root.remote(*args, *tables)`` task (``root`` a remote
+    function) per shard of ``refs``' rows split ``k`` ways by
+    ``key_buckets`` of ``key_col`` (one split task per ref when ``k > 1``;
+    none at ``k = 1``), its ``tables`` being the ``_tree_top`` of the
+    shard's pieces. The roots hold disjoint key sets."""
+    shards = [refs]
+    if k > 1:
+        split = remote_fn(split_by_key).options(num_returns=k)
+        parts = [split.remote(r, key_col, k) for r in refs]
+        shards = [[p[s] for p in parts] for s in range(k)]
+    return [root.remote(*args, *_tree_top(s, combine_fn)) for s in shards]
+
+
 def keyed_dup_reduce(partials: list, rows: int, key_col: str, combine_fn,
                      keep_fn, final_fn=None):
     """The keyed dup reduce: ObjectRef to ``final_fn`` over the ``keep_fn``
@@ -229,19 +291,17 @@ def keyed_dup_reduce(partials: list, rows: int, key_col: str, combine_fn,
     all are empty). ``k = shard_count(rows)``, ``rows`` being the input
     rows behind the partials. For ``k > 1`` one task per partial splits it
     by ``key_col``; each shard tree-merges with ``combine_fn``
-    (associative) and runs ``keep_fn`` at its root, so only dup-rate-bound
-    rows leave it; one root concatenates the disjoint shards and runs
-    ``final_fn``."""
+    (associative) and runs ``keep_fn`` at its root (``shard_roots``), so
+    only dup-rate-bound rows leave it; one root concatenates the disjoint
+    shards and runs ``final_fn``."""
     k = shard_count(rows)
+    if k == 1 and final_fn is not None:
+        keep_fn = functools.partial(_then, keep_fn, final_fn)
+    roots = shard_roots(
+        partials, k, key_col, combine_fn, remote_fn(_merge), combine_fn, keep_fn
+    )
     if k == 1:
-        root = keep_fn if final_fn is None else lambda t: final_fn(keep_fn(t))
-        return tree_reduce_refs(partials, combine_fn, root, materialize=False)
-    split = remote_fn(split_by_key).options(num_returns=k)
-    parts = [split.remote(p, key_col, k) for p in partials]
-    roots = [
-        tree_reduce_refs([p[s] for p in parts], combine_fn, keep_fn, False)
-        for s in range(k)
-    ]
+        return roots[0]
     return tree_reduce_refs(roots, _identity, final_fn, materialize=False)
 
 
@@ -253,8 +313,8 @@ def keyed_dup_reduce_ds(ds, key_col: str, combine_fn, keep_fn, final_fn=None):
 
 def _key_counts(t: pa.Table, key_col: str) -> pa.Table:
     """(key, n) per distinct key of ``t``. A null key is never a dup:
-    Arrow's ``count`` skips nulls, so its group totals n = 0 (as every
-    ``dedup_latest`` strategy keeps each null-url row)."""
+    Arrow's ``count`` skips nulls, so its group totals n = 0 (as the
+    winners reduce keeps each null-url row)."""
     g = t.select([key_col]).group_by(key_col).aggregate([(key_col, "count")])
     return g.select([key_col, f"{key_col}_count"]).rename_columns([key_col, "n"])
 

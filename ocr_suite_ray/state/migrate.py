@@ -38,6 +38,7 @@ from typing import Callable
 import pyarrow as pa
 
 from ocr_suite_ray.state import lineage as lin
+from ocr_suite_ray.state.dupset import remote_fn
 
 # Engine migration ladder: steps[v] upgrades a version-(v-1) EXTRACTED
 # table to version v (the update.inl switch ladder). The engine is at
@@ -61,6 +62,52 @@ def _chain(from_version: int, to_version: int, steps) -> list:
             f"no migration step registered for version(s) {missing}"
         )
     return [steps[v] for v in range(from_version + 1, to_version + 1)]
+
+
+def _migrate_files(
+    chain: list, files: list[str], src_root: str, dst_root: str, marker: str,
+    fp: str,
+) -> int:
+    """Migration unit (a remote task): rewrite ``files`` through the
+    ``chain`` of steps under ``dst_root``, then write the unit's marker;
+    returns the rows migrated."""
+    import pyarrow.parquet as pq
+
+    n = 0
+    for f in files:
+        t = pq.read_table(f)
+        rows_in = t.num_rows
+        for step in chain:
+            t = step(t)
+        if t.num_rows != rows_in:
+            raise ValueError(
+                f"migration step changed the row count of {f} "
+                f"({rows_in} -> {t.num_rows}); steps must be row-"
+                "preserving or the carried lineage rows_done lies"
+            )
+        dst = os.path.join(dst_root, os.path.relpath(f, src_root))
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        tmp = dst + f".tmp{os.getpid()}"
+        # mirror the flagship writer's settings so byte layout stays
+        # comparable (extract.py justifies use_dictionary=False for
+        # near-unique text)
+        pq.write_table(t, tmp, row_group_size=4096, use_dictionary=False)
+        os.replace(tmp, dst)
+        n += rows_in
+    # unit marker LAST: a kill mid-unit leaves no marker and the
+    # next run rewrites the whole unit (files are tmp+rename, so a
+    # partial unit is invisible downstream either way)
+    mtmp = marker + f".tmp{os.getpid()}"
+    with open(mtmp, "w") as fh:
+        json.dump({"fp": fp, "rows": n}, fh)
+    os.replace(mtmp, marker)
+    return n
+
+
+def _count_done(files: list[str]) -> int:
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(f).num_rows for f in files)
 
 
 def migrate_store(
@@ -134,53 +181,13 @@ def migrate_store(
         except (OSError, ValueError):
             return False
 
-    @ray.remote
-    def _migrate_files(
-        files: list[str], src_root: str, dst_root: str, marker: str, fp: str
-    ) -> int:
-        import pyarrow.parquet as pq
-
-        n = 0
-        for f in files:
-            t = pq.read_table(f)
-            rows_in = t.num_rows
-            for step in chain:
-                t = step(t)
-            if t.num_rows != rows_in:
-                raise ValueError(
-                    f"migration step changed the row count of {f} "
-                    f"({rows_in} -> {t.num_rows}); steps must be row-"
-                    "preserving or the carried lineage rows_done lies"
-                )
-            dst = os.path.join(dst_root, os.path.relpath(f, src_root))
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            tmp = dst + f".tmp{os.getpid()}"
-            # mirror the flagship writer's settings so byte layout stays
-            # comparable (extract.py justifies use_dictionary=False for
-            # near-unique text)
-            pq.write_table(t, tmp, row_group_size=4096, use_dictionary=False)
-            os.replace(tmp, dst)
-            n += rows_in
-        # unit marker LAST: a kill mid-unit leaves no marker and the
-        # next run rewrites the whole unit (files are tmp+rename, so a
-        # partial unit is invisible downstream either way)
-        mtmp = marker + f".tmp{os.getpid()}"
-        with open(mtmp, "w") as fh:
-            json.dump({"fp": fp, "rows": n}, fh)
-        os.replace(mtmp, marker)
-        return n
-
-    @ray.remote
-    def _count_done(files: list[str]) -> int:
-        import pyarrow.parquet as pq
-
-        return sum(pq.read_metadata(f).num_rows for f in files)
-
     # data files that carry the EXTRACTED schema: per-partition extracted
     # dirs (nested is_dup= hive level included) + ALL final-store files —
     # winners.parquet is the dedup winners' full extracted rows, so it
     # migrates too. dup_urls.parquet (url/ts membership) is
     # schema-independent state, copied verbatim below.
+    migrate, count_done = remote_fn(_migrate_files), remote_fn(_count_done)
+    chain_ref = ray.put(chain)
     tasks = []
     skipped = 0
     for pid in sorted(records):
@@ -192,10 +199,10 @@ def migrate_store(
         fp = records[pid].input_fingerprint
         if _unit_done(unit, fp):
             skipped += 1
-            tasks.append(_count_done.remote(files))
+            tasks.append(count_done.remote(files))
             continue
         tasks.append(
-            _migrate_files.remote(files, old_dir, staging, _marker(unit), fp)
+            migrate.remote(chain_ref, files, old_dir, staging, _marker(unit), fp)
         )
     final_files = sorted(
         glob.glob(os.path.join(old_dir, "final", "*.parquet"))
@@ -205,11 +212,11 @@ def migrate_store(
         # the final store is its own unit — counting it in `skipped`
         # would make partitions_resumed exceed partitions on a full
         # resume
-        tasks.append(_count_done.remote(final_files))
+        tasks.append(count_done.remote(final_files))
     else:
         tasks.append(
-            _migrate_files.remote(
-                final_files, old_dir, staging,
+            migrate.remote(
+                chain_ref, final_files, old_dir, staging,
                 _marker("final"), plan["source_done"],
             )
         )

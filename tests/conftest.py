@@ -51,3 +51,23 @@ def small_corpus(ray_session, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("pages"))
     files = generate_corpus(d, 300, seed=42, n_files=4)
     return d, files
+
+
+@pytest.fixture
+def force_shards(monkeypatch):
+    """``force_shards(rows_per_shard)`` sets the keyed reduce's rows per
+    shard and returns the list that records every shard count ``k`` it
+    then picks (``k > 1`` is forced by a small ``rows_per_shard``)."""
+    from ocr_suite_ray.state import dupset
+
+    ks, count = [], dupset.shard_count
+
+    def _force(rows_per_shard: int) -> list:
+        ks.clear()
+        monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", rows_per_shard)
+        monkeypatch.setattr(
+            dupset, "shard_count", lambda rows: ks.append(count(rows)) or ks[-1]
+        )
+        return ks
+
+    return _force

@@ -1,5 +1,7 @@
-"""Dedup semantics: newest capture wins, deterministic tiebreak, both
-strategies agree (the scale path is verified against the obvious one)."""
+"""Dedup semantics of the flagship's winners reduce (``_local_best``):
+newest capture wins, deterministic tiebreak, the same winner however the
+captures are split across reduce inputs; and the keyed dup reduce that
+finds the repeated urls."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import pyarrow as pa
 import pytest
 
 from ocr_suite_ray.schemas import EXTRACTED_SCHEMA, SPAN_TYPE
-from ocr_suite_ray.stages.dedup import dedup_latest
+from ocr_suite_ray.stages.dedup import _local_best, decode_spans, encode_spans
 
 
 def _extracted_table(rows) -> pa.Table:
@@ -39,43 +41,87 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("strategy", ["partial", "bucket", "map_groups"])
-def test_newest_wins_and_ties_deterministic(ray_session, strategy):
-    import ray.data as rd
+def _tree_best(blocks: list) -> pa.Table:
+    """The finalize's reduce over ``blocks``: ``_local_best`` per block
+    (each finalize task), then across their winners (the tree root)."""
+    return decode_spans(
+        _local_best(pa.concat_tables([_local_best(encode_spans(b)) for b in blocks]))
+    )
 
-    ds = rd.from_arrow(_extracted_table(ROWS))
-    out = dedup_latest(ds, strategy=strategy, num_partitions=4).take_all()
+
+def _split_rows(table: pa.Table) -> list:
+    """Fixed two-row blocks: one url's captures land in different inputs."""
+    return [table.slice(i, 2) for i in range(0, table.num_rows, 2)]
+
+
+def _split_buckets(table: pa.Table, n: int = 2) -> list:
+    """Urls assigned to ``n`` buckets: each url's captures share one input."""
+    urls = table["url"].to_pylist()
+    order = sorted(set(urls))
+    return [
+        table.filter(pa.array([order.index(u) % n == b for u in urls]))
+        for b in range(n)
+    ]
+
+
+def _split_groups(table: pa.Table) -> list:
+    """One input per url, holding all of that url's captures."""
+    urls = table["url"].to_pylist()
+    return [
+        table.filter(pa.array([u == g for u in urls])) for g in sorted(set(urls))
+    ]
+
+
+@pytest.mark.parametrize(
+    "split",
+    [_split_rows, _split_buckets, _split_groups],
+    ids=["partial", "bucket", "map_groups"],
+)
+def test_newest_wins_and_ties_deterministic(split):
+    """Every way of laying the captures out over the reduce inputs (row
+    blocks, url buckets, one group per url) yields the same winners."""
+    out = _tree_best(split(_extracted_table(ROWS))).to_pylist()
     by_url = {r["url"]: r for r in out}
     assert len(out) == 3
     assert by_url["u1"]["text"] == "newest text"
     assert by_url["u2"]["text"] == "only capture"
-    assert by_url["u3"]["text"] in ("tie a", "tie b")
-    # spans survive the shuffle round-trip intact
+    # exact-ts tie: the content tuple decides, "tie b" > "tie a"
+    assert by_url["u3"]["text"] == "tie b"
+    # spans survive the encode/decode round trip intact
     assert by_url["u1"]["spans"][0]["stop"] == len("newest text")
 
 
-def test_strategies_agree_on_ties(ray_session):
-    import ray.data as rd
+def test_strategies_agree_on_ties():
+    """One reduce over all captures and the tree over any split of them
+    (in any order) pick the same winners, ties included."""
+    table = _extracted_table(ROWS)
+    want = _tree_best([table])
+    for blocks in (
+        [table.slice(i, 1) for i in range(table.num_rows)],
+        [table.slice(i, 1) for i in reversed(range(table.num_rows))],
+        [table.slice(3), table.slice(0, 3)],
+    ):
+        assert _tree_best(blocks).equals(want)
 
-    a = dedup_latest(
-        rd.from_arrow(_extracted_table(ROWS)), strategy="partial", num_partitions=4
-    ).take_all()
-    b = dedup_latest(
-        rd.from_arrow(_extracted_table(ROWS)), strategy="map_groups"
-    ).take_all()
-    key = lambda r: r["url"]
-    assert sorted(a, key=key) == sorted(b, key=key)
 
-
-def test_dedup_across_blocks(ray_session):
+def test_dedup_across_blocks():
     """Same url split across many input blocks still yields one winner."""
-    import ray.data as rd
+    table = _extracted_table([("u", i, f"text {i}") for i in range(50)])
+    out = _tree_best([table.slice(i, 5) for i in range(0, 50, 5)])
+    assert out.num_rows == 1
+    assert out["text"].to_pylist() == ["text 49"]
 
-    rows = [("u", i, f"text {i}") for i in range(50)]
-    ds = rd.from_arrow(_extracted_table(rows)).repartition(10)
-    out = dedup_latest(ds, strategy="partial", num_partitions=4).take_all()
-    assert len(out) == 1
-    assert out[0]["text"] == "text 49"
+
+def test_encode_decode_spans_round_trip():
+    """encode_spans drops the nested column for three plain lists and
+    decode_spans restores the exact table, sliced inputs included."""
+    table = _extracted_table(ROWS)
+    enc = encode_spans(table)
+    assert "spans" not in enc.column_names
+    assert decode_spans(enc).equals(table)
+    assert decode_spans(encode_spans(table.slice(2, 3))).equals(table.slice(2, 3))
+    plain = table.drop_columns(["spans"])
+    assert encode_spans(plain) is plain and decode_spans(plain) is plain
 
 
 def test_coalesce_reduce_all_empty_returns_none(ray_session):
@@ -95,19 +141,6 @@ def test_coalesce_reduce_all_empty_returns_none(ray_session):
         lambda t: t.select(["nope"]),
     )
     assert out is None
-
-
-def test_partial_with_bloom_membership_matches_exact(ray_session):
-    import ray.data as rd
-
-    exact = dedup_latest(
-        rd.from_arrow(_extracted_table(ROWS)), strategy="partial"
-    ).take_all()
-    bloom = dedup_latest(
-        rd.from_arrow(_extracted_table(ROWS)), strategy="partial", bloom_threshold=0
-    ).take_all()
-    key = lambda r: r["url"]
-    assert sorted(exact, key=key) == sorted(bloom, key=key)
 
 
 def test_sharded_dup_key_merge_matches_single(ray_session, tmp_path, monkeypatch):
@@ -178,7 +211,7 @@ def test_multi_shard_dup_keys_int_key_with_null_block(
 
 def test_null_key_is_never_a_dup(ray_session, tmp_path):
     """A null key is never a dup: neither dup-key scan returns one, and
-    every dedup_latest strategy keeps each null-url capture."""
+    the winners reduce keeps each null-url capture."""
     import ray
     import ray.data as rd
     import pyarrow.parquet as pq
@@ -202,17 +235,14 @@ def test_null_key_is_never_a_dup(ray_session, tmp_path):
     got = ray.get(dup_key_table_ref_from_files([[f] for f in files]))
     assert got["url"].to_pylist() == ["u1", "u3"]
 
-    def run(strategy):
-        out = dedup_latest(
-            rd.from_arrow(table), strategy=strategy, num_partitions=4
-        ).take_all()
-        return sorted(
-            (r["url"] or "", r["text"], r["url"] is None) for r in out
-        )
-
-    outs = [run(s) for s in ("partial", "bucket", "map_groups")]
-    assert outs[0] == outs[1] == outs[2]
-    assert [t for _, t, null in outs[0] if null] == ["null a", "null b"]
+    # the winners reduce keeps each null-url capture, wherever it sorts
+    # beside a url's run (a null mask would drop that run's winner)
+    out = _tree_best([table.slice(0, 4), table.slice(4)])
+    assert sorted(out["text"].to_pylist()) == [
+        "newest text", "null a", "null b", "only capture", "tie b"
+    ]
+    for blocks in ([table], [table.slice(6), table.slice(0, 6)]):
+        assert _tree_best(blocks).equals(out)
 
 
 def test_cpu_chunks_cover_items_once_in_at_most_cpu_chunks(ray_session):

@@ -95,12 +95,15 @@ def test_group_zscore_null_key_yields_null_z(ray_session):
 # ----------------------------------------------- tumbling window semantics
 
 
-@pytest.mark.parametrize("exchange", ["narrow", "shuffle"])
-def test_tumbling_count_all_avg_valid(ray_session, exchange):
+@pytest.mark.parametrize(
+    "rows_per_shard", [2_000_000, 1], ids=["one_tree", "sharded"]
+)
+def test_tumbling_count_all_avg_valid(ray_session, force_shards, rows_per_shard):
     import ray.data as rd
 
     from ocr_suite_ray.stages.windows import tumbling_window_agg
 
+    ks = force_shards(rows_per_shard)
     ts = pd.to_datetime(
         ["2024-01-01 10:05", "2024-01-01 10:15", "2024-01-01 10:45",
          "2024-01-01 11:05", "2024-01-01 11:06"]
@@ -109,12 +112,12 @@ def test_tumbling_count_all_avg_valid(ray_session, exchange):
         {"user": [1, 1, 1, 2, 2], "ts": ts, "v": [1.0, None, 2.0, None, None]}
     )
     out = (
-        tumbling_window_agg(rd.from_pandas(df), "user", "ts", "v",
-                            exchange=exchange)
+        tumbling_window_agg(rd.from_pandas(df), "user", "ts", "v")
         .to_pandas()
         .sort_values(["user"])
         .reset_index(drop=True)
     )
+    assert ks == [1] if rows_per_shard > 1 else ks[0] > 1
     # COUNT(*) semantics: nulls counted as events
     assert out.loc[0, "n_events"] == 3
     assert out.loc[0, "sum_value"] == 3.0
@@ -147,6 +150,38 @@ def test_tumbling_empty_input_keeps_declared_types(ray_session, tmp_path):
     assert out.count() == 0
     assert sch.base_schema.field("domain").type == pa.string()
     assert sch.base_schema.field("sum_value").type == pa.int64()
+
+
+def test_tumbling_sharded_empty_shards_leave_no_block(ray_session, force_shards):
+    """Forced k > 1 over a few groups of an input whose schema is unknown
+    until it runs (so the all-empty fallback would type the key int64):
+    most shards are empty, and only the real blocks come out, each with
+    the input's string key and int sum."""
+    import ray
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.windows import tumbling_window_agg
+
+    t = pa.table(
+        {
+            "domain": pa.array(["a", "b", "c"], pa.string()),
+            "ts": pa.array([pd.Timestamp("2024-01-01")] * 3, pa.timestamp("us")),
+            "v": pa.array([3, 4, 5], pa.int64()),
+        }
+    )
+    ds = rd.from_arrow([t] * 8).map_batches(lambda b: b, batch_format="pyarrow")
+    assert ds.schema(fetch_if_missing=False) is None
+    ks = force_shards(1)
+    out = tumbling_window_agg(ds, "domain", "ts", "v")
+    blocks = [ray.get(r) for b in out.iter_internal_ref_bundles() for r in b.block_refs]
+    assert ks == [24] and 1 <= len(blocks) <= 3
+    for b in blocks:
+        assert b.num_rows and b.schema == blocks[0].schema
+    assert blocks[0].schema.field("domain").type == pa.string()
+    assert blocks[0].schema.field("sum_value").type == pa.int64()
+    got = out.to_pandas().sort_values("domain")
+    assert got["n_events"].tolist() == [8, 8, 8]
+    assert got["sum_value"].tolist() == [24, 32, 40]
 
 
 # ------------------------------------------------- DuckDB ROUND negatives
@@ -374,9 +409,9 @@ def test_bigram_lm_null_first_row(ray_session):
     assert len(scored) == 3                     # no IndexError, all rows out
 
 
-def test_tumbling_window_null_key_tier_agreement(ray_session):
-    """exchange='narrow' (Arrow re-agg) keeps a null-key group; the
-    pandas shuffle fold must agree instead of silently dropping it."""
+def test_tumbling_window_null_key_tier_agreement(ray_session, force_shards):
+    """One tree (k = 1) and forced shards (k > 1) both keep the null-key
+    group (Arrow's re-aggregation groups nulls together) and agree."""
     import pandas as pd
     import ray.data as rd
 
@@ -388,18 +423,19 @@ def test_tumbling_window_null_key_tier_agreement(ray_session):
         "v": [1.0, 2.0, 3.0, 4.0],
     })
     outs = {}
-    for mode in ("narrow", "shuffle"):
-        outs[mode] = (
-            tumbling_window_agg(rd.from_pandas(df), "k", "ts", "v",
-                                every="hour", exchange=mode)
+    for rows_per_shard in (2_000_000, 1):
+        ks = force_shards(rows_per_shard)
+        outs[rows_per_shard] = (
+            tumbling_window_agg(rd.from_pandas(df), "k", "ts", "v", every="hour")
             .to_pandas()
             .sort_values(["k", "window_start"])
             .reset_index(drop=True)
         )
-    assert len(outs["narrow"]) == len(outs["shuffle"]) == 2
+        assert ks == [1] if rows_per_shard > 1 else ks[0] > 1
+    assert len(outs[2_000_000]) == len(outs[1]) == 2
     pd.testing.assert_frame_equal(
-        outs["narrow"].astype({"n_events": "int64"}),
-        outs["shuffle"].astype({"n_events": "int64"}),
+        outs[2_000_000].astype({"n_events": "int64"}),
+        outs[1].astype({"n_events": "int64"}),
         check_dtype=False,
     )
 

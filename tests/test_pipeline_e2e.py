@@ -190,3 +190,55 @@ def test_deal_units_spreads_heavy_units():
     from ocr_suite_ray.pipelines.extract import _deal_units
 
     assert _deal_units([5, 5, 5, 5, 900, 800], 2) == [[4], [0, 1, 2, 3, 5]]
+
+
+def test_finalize_writes_winners_in_root_task(ray_session, tmp_path, monkeypatch):
+    """The winners tree's root task writes winners.parquet and returns only
+    its row count: with the driver's parquet writer broken, the finalize of
+    a store with dups still succeeds and final/ equals golden_extract."""
+    from ocr_suite_ray.pipelines.extract import run_extract_phase, run_finalize_phase
+    from ocr_suite_ray.sources.synthetic import generate_corpus
+
+    files = generate_corpus(str(tmp_path / "pages"), 200, seed=11, n_files=3)
+    out = str(tmp_path / "out")
+    run_extract_phase(str(tmp_path / "pages"), out, ExtractConfig(pool_size=2))
+
+    def _no_driver_write(*a, **kw):
+        raise AssertionError("the driver wrote a parquet file")
+
+    monkeypatch.setattr(pq, "write_table", _no_driver_write)
+    run_finalize_phase(out)
+    monkeypatch.undo()
+    winners = pq.read_table(os.path.join(out, "final", "winners.parquet"))
+    assert winners.num_rows > 0
+    assert not os.path.exists(os.path.join(out, "final", "winners.parquet.tmp"))
+    _assert_matches_golden(_load_final(out), golden_extract(_load_pages(files)))
+
+
+def test_null_url_captures_kept(ray_session, tmp_path):
+    """A null url is never a dup: each null-url capture reaches final/ as
+    its own row (golden_extract of that page alone), beside the golden
+    winners of the other pages."""
+    from ocr_suite_ray.sources.synthetic import generate_pages_table
+
+    pages = generate_pages_table(60, seed=9)
+    null_rows = [0, 1, pages.num_rows // 2]
+    urls = pages["url"].to_pylist()
+    for i in null_rows:
+        urls[i] = None
+    pages = pages.set_column(0, "url", pa.array(urls, pa.string()))
+    pdir = tmp_path / "pages"
+    pdir.mkdir()
+    for k, part in enumerate((pages.slice(0, 40), pages.slice(40))):
+        pq.write_table(part, str(pdir / f"pages_{k:05d}.parquet"))
+    out = str(tmp_path / "out")
+    run_pipeline(str(pdir), out, ExtractConfig(pool_size=2))
+
+    live = pages.filter(pa.compute.is_valid(pages["url"]))
+    want = pa.concat_tables(
+        [golden_extract(live)] + [golden_extract(pages.slice(i, 1)) for i in null_rows]
+    )
+    keys = [("url", "ascending"), ("warc_ts", "ascending"), ("text", "ascending")]
+    final = pads.dataset(f"{out}/final").to_table()
+    assert final["url"].null_count == len(null_rows)
+    _assert_matches_golden(final.sort_by(keys), want.sort_by(keys))

@@ -105,3 +105,44 @@ def _param_queries():
 @pytest.mark.parametrize("name,fn,sql", _param_queries())
 def test_query_matches_oracle(ray_session, name, fn, sql):
     assert_query_matches_oracle(name, fn, sql)
+
+
+# the catalog rows whose per-key sums run on narrow_grouped_sum
+SHARDED_SUM_ROWS = (
+    "pricing_summary", "search_count_by_lang", "union_counts", "window_hourly",
+    "pivot_daily", "json_props", "broadcast_join", "region_revenue",
+)
+
+
+@pytest.mark.parametrize("name", SHARDED_SUM_ROWS)
+def test_sharded_sum_matches_oracle(ray_session, force_shards, name):
+    """Forced 1 < k <= 64: the partials split into k shard roots, one
+    output block each, and the row still matches its DuckDB oracle."""
+    from ocr_suite_ray.pipelines.queries import ALL_QUERIES
+
+    ks = force_shards(1)
+    fn, sql = ALL_QUERIES[name]
+    assert_query_matches_oracle(name, fn, sql)
+    assert ks and all(1 < k <= 64 for k in ks)
+
+
+def _block_schemas(ds) -> list:
+    import ray
+
+    return [
+        ray.get(r).schema for b in ds.iter_internal_ref_bundles() for r in b.block_refs
+    ]
+
+
+@pytest.mark.parametrize("name", ["pricing_summary", "search_count_by_lang"])
+def test_sharded_sum_empty_shards_typed(ray_session, force_shards, monkeypatch, name):
+    """These rows pass no empty schema: at forced k > 1 their few groups
+    leave most shards empty, and no empty shard puts a block (a
+    zero-column one) beside the real ones."""
+    from ocr_suite_ray.pipelines import queries
+
+    monkeypatch.setattr(queries, "_fixed_point", lambda ds, scales: ds)
+    ks = force_shards(1)
+    schemas = _block_schemas(queries.ALL_QUERIES[name][0](SF_DIR))
+    assert ks[-1] > 8 and 1 <= len(schemas) <= 8
+    assert schemas[0].names and all(s == schemas[0] for s in schemas)

@@ -172,6 +172,128 @@ def test_pivot_counts_declared_schema_stable(ray_session):
     assert got["total"].tolist() == [2, 1]
 
 
+def test_pivot_counts_sharded_key_spread_over_blocks(ray_session, force_shards):
+    """Forced k > 1 with each key's pivot values in different blocks: the
+    split on the key puts all of a key's partial rows in one shard root,
+    so ``_pivot`` sees the whole key and the result equals k = 1's."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.relational import pivot_counts
+
+    blocks = [
+        pa.table({"day": ["d1", "d2", "d3"], "kind": [kind] * 3})
+        for kind in ("a", "b", "c", "a")
+    ]
+    blocks.append(pa.table({"day": ["d4"], "kind": ["zz"]}))
+
+    def run(rows_per_shard):
+        ks = force_shards(rows_per_shard)
+        out = pivot_counts(rd.from_arrow(blocks), "day", "kind", values=["a", "b", "c"])
+        got = out.to_pandas().sort_values("day").reset_index(drop=True)
+        return got, ks[-1], out.num_blocks()
+
+    one, k1, _ = run(2_000_000)
+    sharded, k, nblocks = run(1)
+    assert k1 == 1 and k == 13 and nblocks <= 4
+    pd.testing.assert_frame_equal(one, sharded)
+    assert one["day"].tolist() == ["d1", "d2", "d3", "d4"]
+    assert one["n_a"].tolist() == [2, 2, 2, 0]
+    assert one["n_b"].tolist() == one["n_c"].tolist() == [1, 1, 1, 0]
+    assert one["total"].tolist() == [4, 4, 4, 1]
+
+
+def test_broadcast_join_agg_sharded_empty_shards_typed(ray_session, force_shards):
+    """broadcast_join_agg passes no empty schema: at forced k > 1 its two
+    groups leave most shards empty, and no empty shard puts a block (a
+    zero-column one) beside the real ones."""
+    import ray
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.relational import broadcast_join_agg
+
+    facts = pd.DataFrame({"id": [1, 2, 3, 1] * 5, "x": [1.5, 2.0, 4.0, 0.5] * 5})
+    dim = pd.DataFrame({"id": [1, 2, 3], "region": ["east", "west", "east"]})
+    ks = force_shards(1)
+    out = broadcast_join_agg(
+        rd.from_pandas(facts).repartition(5), dim, on="id", group_col="region",
+        sum_cols={"total": "x"}, count_col="n",
+    )
+    schemas = [
+        ray.get(r).schema for b in out.iter_internal_ref_bundles() for r in b.block_refs
+    ]
+    assert ks == [10] and 1 <= len(schemas) <= 2
+    assert schemas[0].names == ["region", "total", "n"]
+    assert all(s == schemas[0] for s in schemas)
+    got = out.to_pandas().sort_values("region").reset_index(drop=True)
+    assert got["region"].tolist() == ["east", "west"]
+    assert got["total"].tolist() == [30.0, 10.0]
+    assert got["n"].tolist() == [15, 5]
+
+
+class _TaskSpy:
+    """A ``remote_fn`` stand-in that records the function name of every
+    task started through it."""
+
+    def __init__(self, calls: list, rf, name: str):
+        self._calls, self._rf, self._name = calls, rf, name
+
+    def options(self, **kw):
+        return _TaskSpy(self._calls, self._rf.options(**kw), self._name)
+
+    def remote(self, *args, **kw):
+        self._calls.append(self._name)
+        return self._rf.remote(*args, **kw)
+
+
+def _spy_tasks(monkeypatch) -> list:
+    from ocr_suite_ray.state import dupset
+
+    calls, make = [], dupset.remote_fn
+    monkeypatch.setattr(
+        dupset, "remote_fn", lambda fn: _TaskSpy(calls, make(fn), fn.__name__)
+    )
+    return calls
+
+
+def test_one_shard_starts_the_one_tree_tasks(ray_session, monkeypatch, tmp_path):
+    """At k = 1 the sum runs one ``root_block`` task over its partials, as
+    ``dataset_from_root`` does, and the dup scan one count task per chunk
+    plus one merge; at k > 1 one split task per partial, one root per
+    shard are added."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from ocr_suite_ray.stages.relational import narrow_grouped_sum
+    from ocr_suite_ray.state import dupset
+
+    calls = _spy_tasks(monkeypatch)
+    partials = rd.from_arrow([pa.table({"g": ["a", "b"], "n": [1, 2]})] * 3)
+    one = narrow_grouped_sum(partials, ["g"], ["n"]).to_pandas()
+    assert calls == ["root_block"]
+    assert one.sort_values("g")["n"].tolist() == [3, 6]
+
+    files = []
+    for i in range(2):
+        files.append(str(tmp_path / f"u{i}.parquet"))
+        pq.write_table(pa.table({"url": ["x", f"y{i}"]}), files[-1])
+    calls.clear()
+    got = ray.get(dupset.dup_key_table_ref_from_files([[f] for f in files]))
+    assert got["url"].to_pylist() == ["x"]
+    assert calls == ["_files_key_counts"] * 2 + ["_merge"]
+
+    calls.clear()
+    monkeypatch.setattr(dupset, "_ROWS_PER_SHARD", 2)
+    sharded = narrow_grouped_sum(partials, ["g"], ["n"]).to_pandas()
+    assert sorted(calls) == ["_counted_block"] * 3 + ["split_by_key"] * 3
+    pd.testing.assert_frame_equal(
+        sharded.sort_values("g").reset_index(drop=True),
+        one.sort_values("g").reset_index(drop=True),
+    )
+
+
 def test_profile_columns_nulls_and_partition_invariance():
     import pandas as pd
     import pyarrow as pa

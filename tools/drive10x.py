@@ -704,15 +704,13 @@ def ev_ds(cols=None):
 def drive_ev_window():
     """Tumbling hourly windows per user at 100M events. With hourly windows
     over 100k users the distinct (user, window) table is ~70M groups —
-    row-scale, so the documented huge-key-space path (exchange="shuffle")
-    is the right tier; the narrow tree's one-worker group-table contract
-    would be violated by design."""
+    row-scale. The partial rows size the keyed reduce's shard count
+    (one shard per 2M rows, at most 64), so each shard root holds the
+    groups of its share of the users, not the whole table."""
     from ocr_suite_ray.stages.windows import tumbling_window_agg
 
     ds = ev_ds(["user_id", "ts", "value"])
-    return _consume(
-        tumbling_window_agg(ds, "user_id", "ts", "value", exchange="shuffle")
-    )
+    return _consume(tumbling_window_agg(ds, "user_id", "ts", "value"))
 
 
 def drive_ev_sessionize():

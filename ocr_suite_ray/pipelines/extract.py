@@ -1,21 +1,21 @@
 """Flagship pipeline: pages parquet → extract → dedup → extracted store.
 
-The Ray-Data restatement of the reference's recognition loop (``SURVEY.md``
+The Ray restatement of the reference's recognition loop (``SURVEY.md``
 §3.1: CLI → DB watermark → seek → bounded queue → N OCR threads → store):
 
     phase 0: url-column-only scan → global dup-url set           [narrow reduce]
     phase 1 (per wave, resumable): (file,row_group,pid) unit specs
-      dealt by bytes onto min(units, CPUs, pool) chunks, one block each
-      → map_batches(fused_extract_task, batch_size=None)         [TASK POOL:
+      dealt by bytes onto min(units, CPUs, pool) chunks
+      → one fused_extract_task Ray task per chunk                [PLAIN TASKS:
         per unit: read row group → warm-parser extract → tag is_dup
         → write partition_id=N/is_dup=K files + unit marker;
-        emits only counts]
+        returns only counts]
       → atomic commit + per-partition lineage
     phase 2: hardlink unique-url files into final/ + exact reduce
       of the tiny dup subset                                     [narrow]
 
-Phase 1 runs in **waves** of input partitions: each wave is one streaming
-Dataset execution whose per-partition outputs are committed atomically
+Phase 1 runs in **waves** of input partitions: each wave is one set of
+chunk tasks whose per-partition outputs are committed atomically
 (temp dir + rename) together with their lineage records. A killed job loses
 at most the in-flight row-group UNITS of the current wave (per-unit
 completion markers, `_load_unit_markers`); `pending_partitions` prunes
@@ -25,12 +25,19 @@ at row-group granularity. Partitions are salted with the fingerprint of
 their OWN dup-membership decisions (`_files_dup_fp`), so growing the
 input re-extracts only partitions whose flags actually changed.
 
-The wave is ONE operator because Ray cannot fuse a task-based ReadParquet
-into a downstream map_batches: a separate read → extract → tag → write
-operator chain moves every payload byte through the object store twice
-(measured in BASELINE.md's ablation). Each task reads its row group
+The wave is ONE task per chunk because a separate read → extract → tag →
+write operator chain moves every payload byte through the object store
+twice (measured in BASELINE.md's ablation). Each task reads its row group
 directly and writes its own output files — the reference's one consumer
 thread per warm engine, with no shared writer.
+
+The wave runs on plain Ray tasks, not on a ``ray.data`` Dataset. PAPER.md's
+blueprint names ``Dataset`` + ``map_batches`` for extraction; what it asks
+of them is kept: a per-document loop, concurrency bounded by chunks <=
+CPUs, and resume at unit grain. The first Dataset of a session starts Ray
+Data's ``_StatsActor`` and ``AutoscalingRequester`` actors (1.2-1.5 s
+blocked, 170 + 124 MB RSS, at 1 CPU), so ``run_pipeline`` builds none. Ray
+Data stays the public surface of the viewer and the catalog.
 
 Skew (north_star): work units are row groups, which are written with a
 fixed ROW count — so a byte-heavy unit is exactly one carrying giant DOMs
@@ -85,8 +92,8 @@ _PHASES = ("read_s", "extract_s", "tag_s", "write_s")  # a unit's timed steps
 
 @dataclass
 class ExtractConfig:
-    # cap on the fused wave's chunk count, so on its task concurrency:
-    # one task per chunk, min(units, cluster CPUs, pool_size) chunks
+    # cap on the fused wave's chunk count: one Ray task per chunk,
+    # min(units, cluster CPUs, pool_size) chunks run at once
     pool_size: int = 8
     # input partitions (files) committed per wave. "auto" bounds the wave
     # COUNT instead of the wave size (see _resolve_wave_size): every wave
@@ -438,10 +445,15 @@ def _run_extract_phase_locked(
     }
     if quarantined:
         summary["quarantined"] = quarantined
-    import ray.data as rd
+    import ray
 
     debug_dir = os.path.join(out_dir, "debug") if cfg.debug_dump else None
     max_chunks = min(fanout["cpus"], cfg.pool_size)
+    # retried without limit, RaySystemError too: a chunk redoes only its
+    # unmarked units, so a retry is never wasted work
+    wave_task = remote_fn(fused_extract_task).options(
+        max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError]
+    )
     first_wave = True
     wave_size = _resolve_wave_size(cfg.wave_size, len(pending))
     for w0 in range(0, len(pending), wave_size):
@@ -460,7 +472,7 @@ def _run_extract_phase_locked(
                 shutil.rmtree(tmp_dir)
         first_wave = False
         t0 = time.monotonic()
-        # read + extract + tag + write in one task-pool operator over
+        # read + extract + tag + write in one task per chunk of
         # (file, row_group) specs — neither input payloads nor outputs ever
         # cross the object store
         specs = _wave_specs(wave, salt=dupset_fp)
@@ -511,27 +523,22 @@ def _run_extract_phase_locked(
                         mpid = None
                     if mpid not in reused_pids:
                         os.unlink(fp_path)
-        # one block, so one task, per chunk of units; the per-worker warm
-        # cache (fused_extract_task) reuses the session's warm workers, so
-        # a wave pays no actor spawn/import ramp
+        # one task per chunk of units; the per-worker warm cache
+        # (fused_extract_task) reuses the session's warm workers, so a
+        # wave pays no actor spawn/import ramp
         chunks = _deal_units(specs["bytes"].to_pylist(), max_chunks)
         summary["fanout"]["wave"] += len(chunks)
-        counts = (
-            rd.from_arrow([specs.take(pa.array(c, pa.int64())) for c in chunks])
-            .map_batches(
-                fused_extract_task,
-                batch_format="pyarrow",
-                batch_size=None,
-                fn_kwargs={
-                    "tmp_dir": tmp_dir,
-                    "member_box": member_box,
-                    "debug_dir": debug_dir,
-                    "ocr_engine": cfg.ocr_engine,
-                },
-                concurrency=len(chunks),
+        tables = ray.get([
+            wave_task.remote(
+                specs.take(pa.array(c, pa.int64())),
+                tmp_dir=tmp_dir,
+                member_box=member_box,
+                debug_dir=debug_dir,
+                ocr_engine=cfg.ocr_engine,
             )
-            .take_all()
-        ) if chunks else []
+            for c in chunks
+        ])
+        counts = [r for t in tables for r in t.to_pylist()]
         wall = time.monotonic() - t0
         summary["waves_s"] = round(summary["waves_s"] + wall, 3)
         live = [r for r in counts if r.get("read_s") is not None]
@@ -655,13 +662,11 @@ def fused_extract_task(
     debug_dir: str | None = None,
     ocr_engine: str | None = None,
 ) -> pa.Table:
-    """Task-pool form of the fused wave stage: a plain ``map_batches``
-    function over one chunk of unit specs (one block, ``batch_size=None``)
-    with the warm state cached per WORKER PROCESS (module global keyed by
-    sink dir + membership ref). One task per chunk, not per unit: at one
-    CPU each Ray Data task paid ~10.7 ms of streaming-executor gap, so a
-    wave of u units on c CPUs now pays it c times, not u. Tasks reuse the
-    session's already-warm workers, so a wave pays ZERO pool ramp —
+    """The fused wave's Ray task: one call per chunk of unit specs, with
+    the warm state cached per WORKER PROCESS (module global keyed by sink
+    dir + membership ref). One task per chunk, not per unit, so a wave of
+    u units on c CPUs pays the task round trip c times, not u. Tasks reuse
+    the session's already-warm workers, so a wave pays ZERO pool ramp —
     measured ~2-3 s of actor-process spawn+import per wave at 28-actor
     concurrency. Cache holds one entry (waves are sequential); a new
     wave's key evicts the old."""
@@ -675,12 +680,12 @@ def fused_extract_task(
 
 
 class FusedExtractWriter:
-    """The whole wave in ONE operator: each call takes a chunk of
+    """The whole wave in ONE task body: each call takes a chunk of
     (path, row_group, pid, fp) specs and, per spec, reads that row group
-    directly (no object store transfer — Ray cannot fuse task-based reads
-    into a downstream stage, so we fuse by hand), extracts with the warm
-    parser, tags is_dup, writes the partition files and the unit marker,
-    and returns only (pid, n) counts plus per-phase busy seconds.
+    directly (no object store transfer: read, extract, tag and write are
+    fused by hand), extracts with the warm parser, tags is_dup, writes the
+    partition files and the unit marker, and returns only (pid, n) counts
+    plus per-phase busy seconds.
 
     The reference analogue is exact: one consumer thread = warm Tesseract +
     direct frame access + its own DB writes (``src/recognition/main.cpp:

@@ -47,10 +47,6 @@ def _fixed_point(ds, scales: dict):
     return ds.map_batches(_r, batch_format="pyarrow")
 
 
-def _sql_fp(expr: str, scale: int, alias: str) -> str:
-    return f"CAST(ROUND(({expr}) * {scale}, 0) AS BIGINT) AS {alias}"
-
-
 # ---------------------------------------------------------------------------
 # Aggregations (SURVEY §2.6)
 # ---------------------------------------------------------------------------

@@ -171,12 +171,6 @@ def iter_warc_pages(path: str):
             yield {"url": url.strip("<>"), "warc_ts_us": ts, "html": body}
 
 
-def read_warc_pages(path: str) -> list[dict]:
-    """All page records of one WARC file as a list (small-file/test
-    convenience; scale paths stream via :func:`iter_warc_pages`)."""
-    return list(iter_warc_pages(path))
-
-
 def _ingest_one(src: str, dst: str, rg: int) -> str:
     """One WARC file → one pages parquet (a Ray task of
     :func:`ingest_warc`)."""

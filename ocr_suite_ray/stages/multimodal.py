@@ -187,37 +187,6 @@ class FakeDecoder(ImageDecoder):
         super().__init__(codec="fake")
 
 
-class FrameSampler:
-    """'Video' frame-sampling stub: emits every k-th pseudo-frame index per
-    payload with a per-frame feature — exercises flat_map-shaped output
-    (one input row → n output rows), the explode layout a real sampler has."""
-
-    def __init__(self, every: int = 5) -> None:
-        self._every = every
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frames, feats = [], [], []
-        for rid, v in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
-            h = hashlib.blake2b(v or b"", digest_size=8).digest()
-            n_frames = 10 + h[0] % 20
-            for f in range(0, n_frames, self._every):
-                ids.append(rid)
-                frames.append(f)
-                feats.append(
-                    int.from_bytes(
-                        hashlib.blake2b((v or b"") + f.to_bytes(4, "little"), digest_size=4).digest(),
-                        "little",
-                    )
-                )
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(frames, pa.int32()),
-                "frame_sig": pa.array(feats, pa.int64()),
-            }
-        )
-
-
 def decode_media(ds, batch_size: int = 16, concurrency=(1, 4), codec: str = "auto"):
     """Standard decode pipeline step: small batches, bounded actor pool,
     pillow when available (``codec="auto"``), deterministic stub otherwise."""

@@ -9,7 +9,6 @@ import pytest
 
 from ocr_suite_ray.stages.multimodal import (
     FakeDecoder,
-    FrameSampler,
     attach_media_meta,
     decode_media,
 )
@@ -130,22 +129,6 @@ def test_decode_media_deterministic_across_batching(ray_session):
     assert a == b
     assert all(len(r["feature"]) == 16 for r in a)
     assert all(64 <= r["width"] <= 255 for r in a)
-
-
-def test_frame_sampler_explodes_rows(ray_session):
-    import ray.data as rd
-
-    out = (
-        rd.from_arrow(_media_table(10))
-        .map_batches(FrameSampler, batch_format="pyarrow", batch_size=4,
-                     concurrency=2)
-        .take_all()
-    )
-    ids = {r["media_id"] for r in out}
-    assert ids == set(range(10))
-    assert len(out) > 10  # exploded
-    per0 = [r for r in out if r["media_id"] == 0]
-    assert [r["frame_idx"] for r in per0] == sorted(r["frame_idx"] for r in per0)
 
 
 def test_parse_media_headers_real_formats():

@@ -587,3 +587,111 @@ def test_lineage_records_partition_costs(ray_session, tmp_path):
     assert big["units_reused"] == small["units_reused"] == 0
     assert recs[0].rows_done > recs[1].rows_done
     assert big["extract_s"] > small["extract_s"]
+
+
+def test_wave_worker_death_retries_chunk(ray_session, tmp_path):
+    """A real worker death mid-chunk: the wave's worker process is killed
+    once the chunk's first unit marker is in place. Ray retries the chunk
+    task, the retry reuses the marked units, and final/ equals a clean
+    run's."""
+    import threading
+    import time
+
+    import psutil  # Ray puts its bundled psutil on sys.path
+    import pyarrow.parquet as pq
+
+    pages = str(tmp_path / "pages")
+    _write_pages(pages, (960,), row_group_size=8)  # one chunk, 120+ units
+    units = pq.read_metadata(os.path.join(pages, "pages_00000.parquet")).num_row_groups
+    out = str(tmp_path / "out")
+    cfg = ExtractConfig(pool_size=1)
+    udir = os.path.join(out, "_wave_tmp", "_units")
+    marked_at_kill: list = []
+    done = threading.Event()
+
+    def markers() -> int:
+        try:
+            return sum(f.endswith(".json") for f in os.listdir(udir))
+        except OSError:
+            return 0
+
+    def kill_first_wave_worker() -> None:
+        while not done.is_set() and not marked_at_kill:
+            if markers():
+                for p in psutil.Process().children(recursive=True):
+                    try:
+                        title = " ".join(p.cmdline())
+                    except psutil.Error:
+                        continue
+                    if title.startswith("ray::fused_extract_task"):
+                        marked_at_kill.append(markers())
+                        p.kill()
+                        break
+            time.sleep(0.001)
+
+    killer = threading.Thread(target=kill_first_wave_worker)
+    killer.start()
+    try:
+        s = run_pipeline(pages, out, cfg)
+    finally:
+        done.set()
+        killer.join(timeout=10)
+    assert not killer.is_alive()
+    assert marked_at_kill, "the wave worker was never killed"
+    assert 1 <= marked_at_kill[0] < units, "the kill must land mid-chunk"
+    assert s["partitions_processed"] == 1
+    rec = lin.load_records(out)[0]
+    assert rec.stage_metrics["units"] == units
+    assert rec.stage_metrics["units_reused"] >= 1
+
+    clean = str(tmp_path / "clean")
+    run_pipeline(pages, clean, cfg)
+    assert _final_digest(out) == _final_digest(clean)
+
+
+def test_run_pipeline_builds_no_dataset(ray_session, tmp_path, monkeypatch):
+    """The flagship runs on plain Ray tasks: no ray.data.Dataset is built
+    in the driver during a cold run, a resume after a mid-chunk kill, a
+    run over a grown input, or a run that quarantines a corrupt shard."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from ocr_suite_ray.pipelines.extract import list_pages_files
+    from ocr_suite_ray.sources.synthetic import generate_pages_table
+
+    built = []
+    init = rd.Dataset.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "__init__", spy)
+    pages = str(tmp_path / "pages")
+    _write_pages(pages, (60, 40), row_group_size=24)
+    cfg = ExtractConfig()
+    run_pipeline(pages, str(tmp_path / "cold"), cfg)
+
+    out = str(tmp_path / "out")
+    writer, specs = _writer_and_specs(list_pages_files(pages), out, cfg)
+    _spy_extract(writer, fail_on=2)
+    with pytest.raises(RuntimeError):
+        writer(specs.slice(0, 2))
+    run_pipeline(pages, out, cfg)
+    assert lin.load_records(out)[0].stage_metrics["units_reused"] == 1
+
+    pq.write_table(
+        generate_pages_table(30, seed=11, start=100),
+        os.path.join(pages, "pages_00002.parquet"),
+        row_group_size=24,
+    )
+    s = run_pipeline(pages, out, cfg)
+    assert s["partitions_processed"] >= 1
+
+    with open(os.path.join(pages, "pages_00003.parquet"), "wb") as fh:
+        fh.write(b"\x00not parquet at all" * 100)
+    s = run_pipeline(pages, out, ExtractConfig(on_bad_input="quarantine"))
+    assert [q["path"] for q in s["quarantined"]] == [
+        os.path.join(pages, "pages_00003.parquet")
+    ]
+    assert built == []

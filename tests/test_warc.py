@@ -14,8 +14,8 @@ from ocr_suite_ray.sources.warc import (
     _warc_date_us,
     export_warc,
     ingest_warc,
+    iter_warc_pages,
     iter_warc_records,
-    read_warc_pages,
     write_warc,
 )
 
@@ -45,8 +45,8 @@ def test_warc_date_parsing():
 def test_write_read_plain_and_gz(tmp_path):
     plain = write_warc(str(tmp_path / "a.warc"), ROWS)
     gz = write_warc(str(tmp_path / "a.warc.gz"), ROWS)
-    got_p = read_warc_pages(plain)
-    got_g = read_warc_pages(gz)
+    got_p = list(iter_warc_pages(plain))
+    got_g = list(iter_warc_pages(gz))
     assert got_p == got_g
     assert [r["url"] for r in got_p] == [r["url"] for r in ROWS]
     assert [r["html"] for r in got_p] == [r["html"] for r in ROWS]
@@ -69,7 +69,7 @@ def test_non_page_records_skipped(tmp_path):
         page_rec = f.read()
     with open(path, "wb") as f:
         f.write(info + req + page_rec)
-    got = read_warc_pages(path)
+    got = list(iter_warc_pages(path))
     assert len(got) == 1 and got[0]["url"] == ROWS[0]["url"]
 
 
@@ -135,8 +135,6 @@ def test_http_split_lf_headers_and_date_variants(tmp_path):
 
 
 def test_dateless_records_skipped_not_epoch(tmp_path):
-    from ocr_suite_ray.sources.warc import read_warc_pages
-
     rec = (
         b"WARC/1.0\r\n"
         b"WARC-Type: resource\r\n"
@@ -145,4 +143,4 @@ def test_dateless_records_skipped_not_epoch(tmp_path):
     )
     path = tmp_path / "d.warc"
     path.write_bytes(rec)
-    assert read_warc_pages(str(path)) == []  # no WARC-Date -> skipped
+    assert list(iter_warc_pages(str(path))) == []  # no WARC-Date -> skipped
